@@ -8,10 +8,11 @@ hangs off a single JSON grid document; see `network` for the schema.
 """
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import (Bracket, ExistenceCertificate, analytic_thresholds,
-                        bracket, certify, f_matrix, f_pair, fixed_point_solve,
-                        load_matrix, multistart_newton, necessary_threshold,
-                        optimize_weights, single_cpl_check)
+from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
+                        analytic_thresholds, bracket, certify, f_matrix, f_pair,
+                        fixed_point_solve, load_matrix, multistart_newton,
+                        necessary_threshold, optimize_weights, prepare,
+                        single_cpl_check)
 from .linalg import (PerronPair, ReducedNetwork, is_m_matrix,
                      min_symmetric_eigenvalue, perron, reduce_network,
                      solve_qep)
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmittancePartition", "Bracket", "ControlParams", "DomainError",
     "Event", "ExistenceCertificate", "Line", "LoadNode", "NetworkSpec",
-    "NumericalError", "PerronPair", "ReducedNetwork", "Scenario",
+    "NumericalError", "PerronPair", "PreparedGrid", "ReducedNetwork", "Scenario",
     "SimulationTrace", "SourceNode", "SpecError", "StabilityReport",
     "analytic_thresholds", "analyze_stability", "b_max", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",
@@ -37,7 +38,7 @@ __all__ = [
     "is_m_matrix", "jacobian", "load_matrix", "load_network",
     "load_scenario", "min_symmetric_eigenvalue", "multistart_newton",
     "necessary_threshold", "optimize_weights", "parse_network",
-    "parse_scenario", "perron", "reduce_network", "simulate",
+    "parse_scenario", "perron", "prepare", "reduce_network", "simulate",
     "single_cpl_check", "solve_load_voltages", "solve_qep",
     "sufficient_stability",
 ]

@@ -9,16 +9,14 @@ Exit codes are part of the contract. analyze: 0 certified stable equilibrium,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import certify, single_cpl_check
-from .network import ControlParams, LoadNode, build_admittance, load_network
+from .existence import certify, prepare, single_cpl_check
+from .network import load_network
 from .simulate import load_scenario, simulate
 from .stability import analyze_stability
 
@@ -55,20 +53,20 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--points", type=int)
     group.add_argument("--bisect", type=float, metavar="TOL",
                        help="bisect the empirical solvability boundary (uref only)")
-    pw.add_argument("--jobs", type=int, default=1)
+    pw.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; points run in order in one thread")
     pw.add_argument("--out", help="CSV output path (default: stdout)")
     pw.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _analysis_record(spec, path, seed):
-    cert = certify(spec, seed=seed)
-    partition = build_admittance(spec)
-    advisory = single_cpl_check(partition, spec.k_diag(), spec.control.u_ref,
-                                spec.p_vector())
+    grid = prepare(spec)
+    cert = certify(grid, seed=seed)
+    advisory = single_cpl_check(grid.partition, spec.k_diag(), spec.control.u_ref, grid.P)
     report = None
     if cert.u_load is not None:
-        report = analyze_stability(spec, cert.u_load)
+        report = analyze_stability(grid, cert.u_load)
     if cert.verdict == "necessary-failed":
         code = 3
     elif cert.verdict == "undetermined":
@@ -149,38 +147,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _with_uref(spec, value):
-    return dataclasses.replace(
-        spec, control=ControlParams(u_ref=value, b=spec.control.b))
-
-
-def _with_scale(spec, scale):
-    loads = tuple(LoadNode(id=l.id, P=l.P * scale) for l in spec.loads)
-    return dataclasses.replace(spec, loads=loads)
-
-
-def _with_b(spec, value):
-    return dataclasses.replace(
-        spec, control=ControlParams(u_ref=spec.control.u_ref, b=value))
-
-
 _SWEEP_HEADER = ("param,value,verdict,root_found,tau_necessary,tau_optimized,"
                  "tau_perron_vector,tau_contraction,abscissa,stable")
 
 
-def _sweep_point(spec, param, value, seed):
-    variant = {"uref": _with_uref, "load": _with_scale, "b": _with_b}[param](spec, value)
-    cert = certify(variant, seed=seed)
-    abscissa = ""
-    stable = ""
-    if cert.u_load is not None:
-        report = analyze_stability(variant, cert.u_load)
-        abscissa = f"{report.abscissa:.6g}"
-        stable = str(report.verdict == "stable")
+def _sweep_row(param, value, cert, report):
+    abscissa = "" if report is None else f"{report.abscissa:.6g}"
+    stable = "" if report is None else str(report.verdict == "stable")
     return (f"{param},{value:.10g},{cert.verdict},{cert.u_load is not None},"
             f"{cert.tau_necessary:.6g},{cert.tau_optimized:.6g},"
             f"{cert.tau_perron_vector:.6g},{cert.tau_contraction:.6g},"
-            f"{abscissa},{stable}"), cert.u_load is not None
+            f"{abscissa},{stable}")
 
 
 def cmd_sweep(args) -> int:
@@ -194,12 +171,24 @@ def cmd_sweep(args) -> int:
     if args.bisect is not None and args.param != "uref":
         raise SpecError("bisection applies to uref sweeps only", field="--bisect")
 
+    # the thresholds are computed once: a uref point only moves u_ref, a load
+    # point scales them by sqrt(s), and a b point reuses the certificate whole
+    grid = prepare(spec)
+    base = certify(grid, seed=args.seed) if args.param == "b" else None
     rows = {}
 
     def evaluate(value):
-        row, found = _sweep_point(spec, args.param, value, args.seed)
-        rows[value] = row
-        return found
+        point, cert, b = grid, base, None
+        if args.param == "b":
+            b = value
+        else:
+            point = grid.with_uref(value) if args.param == "uref" else grid.scaled(value)
+            cert = certify(point, seed=args.seed)
+        report = None
+        if cert.u_load is not None:
+            report = analyze_stability(point, cert.u_load, b=b)
+        rows[value] = _sweep_row(args.param, value, cert, report)
+        return cert.u_load is not None
 
     comments = []
     if args.points is not None:
@@ -207,8 +196,8 @@ def cmd_sweep(args) -> int:
             values = [args.vmin]
         else:
             values = list(np.linspace(args.vmin, args.vmax, max(2, args.points)))
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            list(pool.map(evaluate, values))
+        for value in values:
+            evaluate(value)
     else:
         lo, hi = args.vmin, args.vmax
         found_lo, found_hi = evaluate(lo), evaluate(hi)

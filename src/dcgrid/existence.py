@@ -19,22 +19,31 @@ builds the order bracket [h*xi, zeta] on which F maps into itself (so a fixed
 point exists by monotone iteration), and runs that iteration to the
 high-voltage equilibrium. Between tau1 and the achieved tau2 sufficiency is
 silent; a multi-start Newton search then looks for solutions empirically.
+
+The work splits in two stages. The thresholds and the weights depend on A
+alone, which depends on neither u_ref nor b, and scaling every load by s
+turns A into s*A and every threshold into sqrt(s) times itself; `prepare`
+does that stage once per grid. `certify` then only compares u_ref with the
+thresholds and solves inside the bracket.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, NumericalError
-from .linalg import PerronPair, ReducedNetwork, perron, reduce_network
-from .network import NetworkSpec, build_admittance
+from .linalg import PerronPair, perron, reduce_network
+from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
+                      build_admittance)
 
 __all__ = [
     "ExistenceCertificate",
     "Bracket",
+    "PreparedGrid",
     "load_matrix",
     "necessary_threshold",
     "f_pair",
@@ -45,6 +54,7 @@ __all__ = [
     "fixed_point_solve",
     "multistart_newton",
     "single_cpl_check",
+    "prepare",
     "certify",
 ]
 
@@ -98,6 +108,61 @@ class ExistenceCertificate:
             "uncertified_root": bool(self.uncertified_root),
             "note": self.note,
         }
+
+
+@dataclass(frozen=True)
+class PreparedGrid:
+    """A grid with the part of the existence analysis that u_ref and b leave alone.
+
+    Built by `prepare`, once per grid; `certify` and `analyze_stability`
+    accept it in place of the spec and reuse its admittance, reduction and
+    thresholds. `with_uref` and `scaled` give the same grid at another
+    operating point without re-running the threshold optimization.
+    """
+
+    spec: NetworkSpec
+    partition: AdmittancePartition
+    Y1: np.ndarray                        # reduced load-side matrix, mxm
+    P: np.ndarray                         # load powers, watts
+    A: np.ndarray                         # Y1^-1 diag(P)
+    pair: PerronPair | None               # Perron pair of A; None when P = 0
+    tau_necessary: float
+    tau_optimized: float
+    tau_perron_vector: float
+    tau_contraction: float
+    q_weights: np.ndarray                 # optimizing weights, scaled to max 1
+
+    def __post_init__(self):
+        for arr in (self.Y1, self.P, self.A, self.q_weights):
+            arr.setflags(write=False)
+
+    def with_uref(self, u_ref: float) -> PreparedGrid:
+        """The same grid at another reference voltage (Y1 does not depend on it)."""
+        control = ControlParams(u_ref=u_ref, b=self.spec.control.b)
+        return dataclasses.replace(self, spec=dataclasses.replace(self.spec, control=control))
+
+    def scaled(self, s: float) -> PreparedGrid:
+        """The same grid with every load power multiplied by s >= 0.
+
+        A becomes s*A, so the Perron vector and the weights are unchanged and
+        every threshold is sqrt(s) times the unscaled one. A itself is rebuilt
+        from the scaled powers, so `certify` still checks the bracket on the
+        actual matrix rather than assuming it.
+        """
+        if s < 0:
+            raise DomainError("load scale must be nonnegative")
+        loads = tuple(LoadNode(id=l.id, P=l.P * s) for l in self.spec.loads)
+        spec = dataclasses.replace(self.spec, loads=loads)
+        P = spec.p_vector()
+        root = float(np.sqrt(s))
+        pair = None if self.pair is None else PerronPair(chi=self.pair.chi * s,
+                                                         eta=self.pair.eta)
+        return dataclasses.replace(
+            self, spec=spec, P=P, A=load_matrix(self.Y1, P), pair=pair,
+            tau_necessary=self.tau_necessary * root,
+            tau_optimized=self.tau_optimized * root,
+            tau_perron_vector=self.tau_perron_vector * root,
+            tau_contraction=self.tau_contraction * root)
 
 
 def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -369,58 +434,72 @@ def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> b
     return (u_ref * G) ** 2 >= 4.0 * G * float(np.sum(P))
 
 
-def certify(spec: NetworkSpec, seed: int = 0, max_evals: int = 2000) -> ExistenceCertificate:
+def prepare(spec: NetworkSpec, max_evals: int = 2000) -> PreparedGrid:
+    """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, q*."""
+    partition = build_admittance(spec)  # re-asserts connectivity
+    Y1 = reduce_network(partition, spec.k_diag(), spec.control.u_ref).Y1
+    P = spec.p_vector()
+    A = load_matrix(Y1, P)
+    if np.all(P == 0):
+        return PreparedGrid(
+            spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=None,
+            tau_necessary=0.0, tau_optimized=0.0, tau_perron_vector=0.0,
+            tau_contraction=0.0, q_weights=np.ones(spec.m))
+    pair = _perron_on_support(A, P)
+    tau3, tau4 = analytic_thresholds(A, pair)
+    q_opt, tau2 = optimize_weights(A, pair.eta, max_evals=max_evals)
+    return PreparedGrid(
+        spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
+        tau_necessary=float(2.0 * np.sqrt(pair.chi)), tau_optimized=tau2,
+        tau_perron_vector=tau3, tau_contraction=tau4, q_weights=q_opt)
+
+
+def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0,
+            max_evals: int = 2000) -> ExistenceCertificate:
     """Full existence analysis of a grid: thresholds, bracket, equilibrium.
 
     Verdicts: certified-exists (bracket feasible and the monotone solver
     converged), necessary-failed (u_ref <= tau1), undetermined otherwise. In
     the undetermined band a multi-start Newton search may still find a root,
     reported with uncertified_root=True.
+
+    A NetworkSpec is prepared first (with `max_evals` optimizer evaluations),
+    so certify(spec) is certify(prepare(spec)); a PreparedGrid goes straight
+    to the per-u_ref stage below.
     """
-    u_ref = spec.control.u_ref
-    partition = build_admittance(spec)  # re-asserts connectivity
-    reduced = reduce_network(partition, spec.k_diag(), u_ref)
-    P = spec.p_vector()
-    m = spec.m
-    zeta = u_ref * np.ones(m)
-
-    if np.all(P == 0):
-        return ExistenceCertificate(
-            tau_necessary=0.0, tau_optimized=0.0,
-            tau_perron_vector=0.0, tau_contraction=0.0,
-            q_weights=np.ones(m), bracket_low=zeta.copy(), bracket_high=zeta,
-            verdict="certified-exists", u_load=zeta.copy(), residual=0.0,
-            note="no constant power load; equilibrium is the open-circuit voltage")
-
-    A = load_matrix(reduced.Y1, P)
-    pair = _perron_on_support(A, P)
-    tau1 = 2.0 * np.sqrt(pair.chi)
-    tau3, tau4 = analytic_thresholds(A, pair)
-    q_opt, tau2 = optimize_weights(A, pair.eta, max_evals=max_evals)
+    grid = prepare(spec, max_evals) if isinstance(spec, NetworkSpec) else spec
+    u_ref = grid.spec.control.u_ref
+    Y1, P = grid.Y1, grid.P
+    zeta = u_ref * np.ones(grid.spec.m)
 
     def cert(verdict, brk, u, res, uncert=False, note=""):
         return ExistenceCertificate(
-            tau_necessary=float(tau1), tau_optimized=float(tau2),
-            tau_perron_vector=float(tau3), tau_contraction=float(tau4),
-            q_weights=q_opt, bracket_low=None if brk is None else brk.low,
+            tau_necessary=grid.tau_necessary, tau_optimized=grid.tau_optimized,
+            tau_perron_vector=grid.tau_perron_vector,
+            tau_contraction=grid.tau_contraction,
+            q_weights=grid.q_weights, bracket_low=None if brk is None else brk.low,
             bracket_high=zeta, verdict=verdict, u_load=u, residual=res,
             uncertified_root=uncert, note=note)
 
-    if u_ref <= tau1:
+    if np.all(P == 0):  # the thresholds of such a grid are all 0
+        return cert("certified-exists", Bracket(low=zeta.copy(), high=zeta), zeta.copy(), 0.0,
+                    note="no constant power load; equilibrium is the open-circuit voltage")
+
+    if u_ref <= grid.tau_necessary:
         return cert("necessary-failed", None, None, None,
                     note="reference voltage at or below the necessary threshold")
 
-    brk = bracket(q_opt, u_ref, A)
+    brk = bracket(grid.q_weights, u_ref, grid.A)
     if brk is not None:
         try:
-            u, res = fixed_point_solve(u_ref, reduced.Y1, P, brk)
+            u, res = fixed_point_solve(u_ref, Y1, P, brk)
         except NumericalError as exc:
             return cert("undetermined", brk, None, None, note=f"solver diagnostics: {exc}")
         return cert("certified-exists", brk, u, res)
 
-    root = multistart_newton(u_ref, reduced.Y1, P, seed=seed)
+    root = multistart_newton(u_ref, Y1, P, seed=seed)
     if root is not None:
-        res = float(np.max(np.abs(_residual(root, reduced.Y1, u_ref, P))))
+        res = float(np.max(np.abs(_residual(root, Y1, u_ref, P))))
         return cert("undetermined", None, root, res, uncert=True,
                     note="solution found without certificate")
     return cert("undetermined", None, None, None,

@@ -23,10 +23,6 @@ __all__ = [
     "solve_qep",
 ]
 
-_PERRON_CAP = 100_000
-_PERRON_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ReducedNetwork:
     """Load-side reduction of the grid with sources eliminated through their droop.
@@ -94,31 +90,25 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray, u_ref: float) 
 def perron(A: np.ndarray) -> PerronPair:
     """Perron root and unit Perron vector of an entrywise-positive matrix.
 
-    Power iteration with the Collatz-Wielandt ratio spread as the convergence
-    test: for positive x the ratios (Ax)_i/x_i bracket the spectral radius,
-    and their spread contracts to zero. Capped at 1e5 iterations.
+    Dense eigen-solve: for a positive matrix the eigenvalue of largest real
+    part is the simple, real Perron root and its eigenvector has one sign, so
+    no iteration can stall when the two largest eigenvalues nearly coincide.
+    The pair is residual-checked before it is returned.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError("expected a square matrix")
     if np.any(A <= 0):
         raise DomainError("matrix must be entrywise positive")
-    m = A.shape[0]
-    x = np.ones(m) / np.sqrt(m)
-    for _ in range(_PERRON_CAP):
-        y = A @ x
-        ratios = y / x
-        hi = ratios.max()
-        x = y / np.linalg.norm(y)
-        if hi - ratios.min() <= _PERRON_TOL * hi:
-            break
-    else:
-        raise NumericalError(
-            f"Perron iteration did not converge (ratio spread {hi - ratios.min():.3e})")
-    chi = float(x @ A @ x)  # Rayleigh quotient at the converged unit vector
+    vals, vecs = np.linalg.eig(A)
+    top = int(np.argmax(vals.real))
+    chi = float(vals[top].real)
+    x = np.abs(vecs[:, top].real)  # one sign in exact arithmetic
+    x = x / np.linalg.norm(x)
     residual = np.linalg.norm(A @ x - chi * x)
-    if residual > 1e-10 * chi:
-        raise NumericalError(f"Perron residual {residual:.3e} exceeds 1e-10*chi")
+    if not np.all(x > 0) or residual > 1e-10 * chi:
+        raise NumericalError(f"Perron pair failed its check (residual {residual:.3e}, "
+                             f"smallest entry {x.min():.3e})")
     return PerronPair(chi=chi, eta=x)
 
 

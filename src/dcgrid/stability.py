@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .existence import PreparedGrid
 from .linalg import min_symmetric_eigenvalue
 from .network import AdmittancePartition, NetworkSpec, build_admittance
 
@@ -147,17 +148,21 @@ def b_max(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray) -> float:
     return float(min(-C.min() / lam1, -1.0 / (lam1 * k.max())))
 
 
-def analyze_stability(spec: NetworkSpec, u_load: np.ndarray,
+def analyze_stability(spec: NetworkSpec | PreparedGrid, u_load: np.ndarray,
                       b: float | None = None) -> StabilityReport:
     """Linearize the grid at an equilibrium and assemble the full report.
 
     The Hurwitz verdict uses the spectral abscissa of J2 with a 1e-9 margin;
     the positive-definiteness certificate and its b ceiling are reported
-    alongside so the conservatism of the certificate stays visible.
+    alongside so the conservatism of the certificate stays visible. A
+    PreparedGrid lends its admittance instead of having it rebuilt.
     """
+    if isinstance(spec, NetworkSpec):
+        partition = build_admittance(spec)
+    else:
+        spec, partition = spec.spec, spec.partition
     if b is None:
         b = spec.control.b
-    partition = build_admittance(spec)
     P = spec.p_vector()
     k = spec.k_diag()
     C = spec.c_diag()

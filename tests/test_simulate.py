@@ -157,6 +157,7 @@ def test_initial_state_override():
     assert trace.i_inductor[0, 0] == pytest.approx(5.0)
 
 
+@pytest.mark.slow
 def test_default_decimation_respects_sample_cap():
     sc = parse_scenario(_scenario_doc(0.2, dt=1e-6))  # 200k steps
     trace = simulate(sc)
