@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, NumericalError
-from .linalg import PerronPair, perron, reduce_network
+from .linalg import PerronPair, _solve_balance, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
                       build_admittance)
 
@@ -46,7 +46,6 @@ __all__ = [
     "PreparedGrid",
     "load_matrix",
     "necessary_threshold",
-    "f_pair",
     "f_matrix",
     "optimize_weights",
     "analytic_thresholds",
@@ -61,6 +60,7 @@ __all__ = [
 _FIXED_POINT_CAP = 200_000
 _NEWTON_POLISH_STEPS = 20
 _NEWTON_SEARCH_STEPS = 60
+_NEWTON_STARTS = 17
 
 
 @dataclass(frozen=True)
@@ -202,30 +202,6 @@ def necessary_threshold(Y1: np.ndarray, P: np.ndarray) -> float:
     return 2.0 * np.sqrt(_perron_on_support(A, P).chi)
 
 
-def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
-    """Pairwise solvability value f_ij(q); intervals i and j overlap iff u_ref^2 > f_ij.
-
-    Two branches: when the cross ratios a_i q/q_j + a_j q/q_i do not exceed
-    twice the larger diagonal ratio, the binding constraint is the larger
-    discriminant, 4*max(a_i q/q_i, a_j q/q_j); otherwise it is the interval
-    separation term. The value is invariant under positive scaling of q.
-    """
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0):
-        raise DomainError("weights must be positive")
-    v = A @ q
-    si = v[i] / q[i]
-    if i == j:
-        return 4.0 * si
-    sj = v[j] / q[j]
-    bij = v[i] / q[j]
-    bji = v[j] / q[i]
-    peak = max(si, sj)
-    if bij + bji <= 2.0 * peak:
-        return 4.0 * peak
-    return (bij - bji) ** 2 / (bij + bji - si - sj)
-
-
 def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """All pairwise values f_ij(q) as an mxm symmetric matrix (vectorized)."""
     q = np.asarray(q, dtype=float)
@@ -339,24 +315,6 @@ def _residual(u, Y1, u_ref, P):
     return u * (Y1 @ (u - u_ref)) + P
 
 
-def _newton(u, Y1, u_ref, P, steps, keep_positive=True):
-    """Newton iteration on the power balance; returns (u, converged)."""
-    tol = 1e-10 * u_ref * u_ref
-    for _ in range(steps):
-        r = _residual(u, Y1, u_ref, P)
-        if np.max(np.abs(r)) <= tol:
-            return u, True
-        J = np.diag(Y1 @ (u - u_ref)) + u[:, None] * Y1
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            return u, False
-        u = u - step
-        if keep_positive and np.any(u <= 0):
-            return u, False
-    return u, np.max(np.abs(_residual(u, Y1, u_ref, P))) <= tol
-
-
 def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
                       brk: Bracket) -> tuple[np.ndarray, float]:
     """Monotone iteration u <- F(u) from zeta, then a Newton polish.
@@ -381,14 +339,15 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
         u = nxt
     else:
         raise NumericalError("fixed-point iteration hit the step cap")
-    polished, ok = _newton(u.copy(), Y1, u_ref, P, _NEWTON_POLISH_STEPS)
+    polished, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, u,
+                                  1e-10 * u_ref * u_ref, _NEWTON_POLISH_STEPS)
     if ok and np.all(polished >= brk.low - guard) and np.all(polished <= brk.high + guard):
         u = polished
     return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
 
 
 def multistart_newton(u_ref: float, Y1: np.ndarray, P: np.ndarray,
-                      seed: int = 0, n_starts: int = 17) -> np.ndarray | None:
+                      seed: int = 0) -> np.ndarray | None:
     """Best-effort root search when no bracket certifies existence.
 
     Starts: zeta, the midline (u_ref/2 + eps)*1, and uniform draws from the
@@ -401,12 +360,13 @@ def multistart_newton(u_ref: float, Y1: np.ndarray, P: np.ndarray,
     rng = np.random.default_rng(seed)
     starts = [u_ref * np.ones(m), (0.5 * u_ref + 1e-6 * u_ref) * np.ones(m)]
     lo, hi = 0.5 * u_ref, u_ref
-    for _ in range(max(0, n_starts - 2)):
+    for _ in range(_NEWTON_STARTS - 2):
         starts.append(lo + (hi - lo) * rng.random(m))
+    c = -u_ref * Y1.sum(axis=1)
     accept = 1e-8 * u_ref * u_ref
     best = None
     for u0 in starts:
-        u, ok = _newton(u0, Y1, u_ref, P, _NEWTON_SEARCH_STEPS)
+        u, ok = _solve_balance(c, Y1, P, u0, 1e-10 * u_ref * u_ref, _NEWTON_SEARCH_STEPS)
         if not ok or np.any(u <= 0):
             continue
         if np.max(np.abs(_residual(u, Y1, u_ref, P))) > accept:
@@ -434,7 +394,7 @@ def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> b
     return (u_ref * G) ** 2 >= 4.0 * G * float(np.sum(P))
 
 
-def prepare(spec: NetworkSpec, max_evals: int = 2000) -> PreparedGrid:
+def prepare(spec: NetworkSpec) -> PreparedGrid:
     """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, q*."""
     partition = build_admittance(spec)  # re-asserts connectivity
     Y1 = reduce_network(partition, spec.k_diag(), spec.control.u_ref).Y1
@@ -447,15 +407,14 @@ def prepare(spec: NetworkSpec, max_evals: int = 2000) -> PreparedGrid:
             tau_contraction=0.0, q_weights=np.ones(spec.m))
     pair = _perron_on_support(A, P)
     tau3, tau4 = analytic_thresholds(A, pair)
-    q_opt, tau2 = optimize_weights(A, pair.eta, max_evals=max_evals)
+    q_opt, tau2 = optimize_weights(A, pair.eta)
     return PreparedGrid(
         spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
         tau_necessary=float(2.0 * np.sqrt(pair.chi)), tau_optimized=tau2,
         tau_perron_vector=tau3, tau_contraction=tau4, q_weights=q_opt)
 
 
-def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0,
-            max_evals: int = 2000) -> ExistenceCertificate:
+def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0) -> ExistenceCertificate:
     """Full existence analysis of a grid: thresholds, bracket, equilibrium.
 
     Verdicts: certified-exists (bracket feasible and the monotone solver
@@ -463,11 +422,10 @@ def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0,
     the undetermined band a multi-start Newton search may still find a root,
     reported with uncertified_root=True.
 
-    A NetworkSpec is prepared first (with `max_evals` optimizer evaluations),
-    so certify(spec) is certify(prepare(spec)); a PreparedGrid goes straight
-    to the per-u_ref stage below.
+    A NetworkSpec is prepared first, so certify(spec) is certify(prepare(spec));
+    a PreparedGrid goes straight to the per-u_ref stage below.
     """
-    grid = prepare(spec, max_evals) if isinstance(spec, NetworkSpec) else spec
+    grid = prepare(spec) if isinstance(spec, NetworkSpec) else spec
     u_ref = grid.spec.control.u_ref
     Y1, P = grid.Y1, grid.P
     zeta = u_ref * np.ones(grid.spec.m)

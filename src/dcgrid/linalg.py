@@ -1,7 +1,10 @@
-"""Numerical kernels: network reduction, Perron pairs, M-matrix tests, QEP solver.
+"""Numerical kernels: network reduction, Perron pairs, the power-balance solver.
 
 These are the shared primitives under both analyzers. Everything operates on
-plain numpy arrays and is pure; inputs are never mutated.
+plain numpy arrays and is pure; inputs are never mutated. `_solve_balance` is
+the one Newton solver for the constant-power balance u_i (c + Y u)_i = -P_i:
+existence polishes and searches equilibria with it, and the simulator pins
+the load voltages with it at every Runge-Kutta stage.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ __all__ = [
     "PerronPair",
     "reduce_network",
     "perron",
-    "is_m_matrix",
     "min_symmetric_eigenvalue",
-    "solve_qep",
 ]
 
 @dataclass(frozen=True)
@@ -29,17 +30,15 @@ class ReducedNetwork:
 
     Y1 is the mxm Schur complement seen by the loads, beta the source-injection
     current term, and zeta = -Y1^-1 beta the open-circuit load voltages. For a
-    connected grid zeta equals u_ref*1 identically. K keeps the per-source
-    virtual resistances for the downstream stability analysis.
+    connected grid zeta equals u_ref*1 identically.
     """
 
     Y1: np.ndarray     # mxm, siemens
     beta: np.ndarray   # m, amperes (nonpositive)
     zeta: np.ndarray   # m, volts
-    K: np.ndarray      # n, ohms (diagonal entries)
 
     def __post_init__(self):
-        for arr in (self.Y1, self.beta, self.zeta, self.K):
+        for arr in (self.Y1, self.beta, self.zeta):
             arr.setflags(write=False)
 
 
@@ -84,7 +83,7 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray, u_ref: float) 
     except np.linalg.LinAlgError as exc:  # cannot happen for a valid partition
         raise NumericalError(f"reduction failed: {exc}") from exc
     Y1 = _symmetrize(Y1, "reduced matrix")
-    return ReducedNetwork(Y1=Y1, beta=beta, zeta=zeta, K=k.copy())
+    return ReducedNetwork(Y1=Y1, beta=beta, zeta=zeta)
 
 
 def perron(A: np.ndarray) -> PerronPair:
@@ -112,73 +111,34 @@ def perron(A: np.ndarray) -> PerronPair:
     return PerronPair(chi=chi, eta=x)
 
 
-def is_m_matrix(A: np.ndarray) -> bool:
-    """True iff the Z-matrix A has all eigenvalues in the open right half-plane.
-
-    Decided by inverse positivity (A nonsingular with A^-1 >= 0, the defining
-    equivalence for Z-matrices) and cross-checked against the spectral
-    abscissa; disagreement raises NumericalError.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("expected a square matrix")
-    off = A - np.diag(np.diag(A))
-    if np.any(off > 0):
-        raise DomainError("not a Z-matrix: positive off-diagonal entry")
-    try:
-        inv = np.linalg.inv(A)
-        by_inverse = bool(np.all(inv >= -1e-12 * np.max(np.abs(inv))))
-    except np.linalg.LinAlgError:
-        by_inverse = False
-    abscissa = float(np.min(np.linalg.eigvals(A).real))
-    by_spectrum = abscissa > 0
-    if by_inverse != by_spectrum:
-        raise NumericalError(
-            f"M-matrix tests disagree (inverse-positive={by_inverse}, "
-            f"min Re eig={abscissa:.3e})")
-    return by_inverse
-
-
 def min_symmetric_eigenvalue(A: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
     A = _symmetrize(np.asarray(A, dtype=float), "matrix")
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def solve_qep(M: np.ndarray, D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """All 2m eigenvalues of the quadratic pencil lambda^2 M + lambda D + S.
+def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
+                   tol: float | np.ndarray, steps: int) -> tuple[np.ndarray, bool]:
+    """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
 
-    First-companion linearization [[0, I], [-M^-1 S, -M^-1 D]] followed by a
-    dense eigensolve; every eigenpair is residual-checked against the pencil.
+    Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
+    at most tol (a scalar or one bound per load), checked before each of at
+    most `steps` Newton steps and once after the last. An iterate that leaves
+    the positive orthant or a singular Jacobian ends the solve unconverged:
+    the balance has no physical root near u0.
     """
-    M = np.asarray(M, dtype=float)
-    D = np.asarray(D, dtype=float)
-    S = np.asarray(S, dtype=float)
-    m = M.shape[0]
-    if M.shape != (m, m) or D.shape != (m, m) or S.shape != (m, m):
-        raise DomainError("M, D, S must be square and same-shaped")
-    try:
-        MinvS = np.linalg.solve(M, S)
-        MinvD = np.linalg.solve(M, D)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("mass matrix M is singular") from exc
-    companion = np.block([
-        [np.zeros((m, m)), np.eye(m)],
-        [-MinvS, -MinvD],
-    ])
-    lams, vecs = np.linalg.eig(companion)
-    scale = (np.abs(lams)[:, None] ** 2 * np.linalg.norm(M)
-             + np.abs(lams)[:, None] * np.linalg.norm(D)
-             + np.linalg.norm(S))
-    for i, lam in enumerate(lams):
-        x = vecs[:m, i]
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:  # eigenvector concentrated in the lambda*x half
-            x = vecs[m:, i] / lam
-            nx = np.linalg.norm(x)
-        x = x / nx
-        res = np.linalg.norm((lam * lam * M + lam * D + S) @ x)
-        if res > 1e-7 * scale[i, 0]:
-            raise NumericalError(
-                f"QEP eigenpair residual {res:.3e} exceeds tolerance at lambda={lam:.6g}")
-    return lams
+    u = np.array(u0, dtype=float)
+    for step in range(steps + 1):
+        current = c + Y @ u
+        r = u * current + P
+        if np.all(np.abs(r) <= tol):
+            return u, True
+        if step == steps:
+            break
+        try:
+            u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
+        except np.linalg.LinAlgError:
+            break
+        if np.any(u <= 0):
+            break
+    return u, False

@@ -8,15 +8,15 @@ State is (i_L, u_S): converter inductor currents behind the droop controller
 
 with the load voltages u_L an algebraic variable pinned each evaluation by
 the exact constant-power constraint u_i (Y_LS u_S + Y_LL u_L)_i = -P_i
-(index-1 DAE; warm-started Newton per Runge-Kutta stage, no fictitious load
-capacitance). A scenario that schedules an activate-cpl event starts with the
-loads open (P = 0, linear solve) until the event fires; otherwise loads draw
-power from t = 0. A source with k_i = 0 runs undamped with X_i = b * 1 ohm:
-the droop term vanishes and only the virtual inductor remains.
+(index-1 DAE; the warm-started Newton solver `linalg._solve_balance` per
+Runge-Kutta stage, no fictitious load capacitance). A scenario that schedules
+an activate-cpl event starts with the loads open (P = 0, linear solve) until
+the event fires; otherwise loads draw power from t = 0. A source with
+k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
+the virtual inductor remains.
 
-Collapse is detected by Newton failure (the power balance lost its real
-root), any load voltage at or below 1 V, or a >= 20% step-to-step drop
-sustained for 100 consecutive steps.
+Collapse is detected by load-flow Newton failure (the power balance lost its
+real root near the previous solution) or any load voltage at or below 1 V.
 
 Scenario files extend the grid document with::
 
@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, SpecError
+from .linalg import _solve_balance
 from .network import AdmittancePartition, NetworkSpec, build_admittance, parse_network
 
 __all__ = [
@@ -51,9 +52,9 @@ __all__ = [
 _DEFAULT_DT = 1e-6
 _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
-_COLLAPSE_DROP = 0.8           # >= 20% per-step drop ...
-_COLLAPSE_STREAK = 100         # ... sustained this many steps
 _LOAD_NEWTON_CAP = 50
+# classical RK4: (node, weight) of each stage; the weights sum to 6
+_RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -197,27 +198,12 @@ def load_scenario(path) -> Scenario:
 
 
 def _load_flow(u_S, P, partition, warm):
-    """Newton solve of the load power balance; returns (u_L, converged)."""
-    Y_LL = partition.Y_LL
+    """Load voltages that balance P at source voltages u_S; returns (u_L, converged)."""
     c = partition.Y_LS @ u_S
     if np.all(P == 0):
-        return np.linalg.solve(Y_LL, -c), True
-    u = warm.copy()
-    tol = 1e-9 * np.maximum(P, 1.0)
-    for _ in range(_LOAD_NEWTON_CAP):
-        i_L = c + Y_LL @ u
-        r = u * i_L + P
-        if np.all(np.abs(r) <= tol):
-            return u, True
-        J = np.diag(i_L) + u[:, None] * Y_LL
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            return u, False
-        u = u - step
-        if np.any(u <= 0):  # crossed through zero: no physical root nearby
-            return u, False
-    return u, False
+        return np.linalg.solve(partition.Y_LL, -c), True
+    return _solve_balance(c, partition.Y_LL, P, warm, 1e-9 * np.maximum(P, 1.0),
+                          _LOAD_NEWTON_CAP)
 
 
 def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
@@ -333,39 +319,32 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
 
     record(0.0)
     steps = 0
-    drop_streak = 0
 
     while t < scenario.horizon - tiny:
         t_stop = min(events[0].t, scenario.horizon) if events else scenario.horizon
         while t < t_stop - tiny:
             h = min(scenario.dt, t_stop - t)
-            k1 = _deriv(i_L, u_S, u_L, phase, u_ref, C, partition)
-            if k1 is None:
-                return finish("collapsed", t, load_ids[int(np.argmin(u_L))])
-            k2 = _deriv(i_L + 0.5 * h * k1[0], u_S + 0.5 * h * k1[1], k1[2],
-                        phase, u_ref, C, partition)
-            if k2 is None:
-                return finish("collapsed", t, load_ids[int(np.argmin(k1[2]))])
-            k3 = _deriv(i_L + 0.5 * h * k2[0], u_S + 0.5 * h * k2[1], k2[2],
-                        phase, u_ref, C, partition)
-            if k3 is None:
-                return finish("collapsed", t, load_ids[int(np.argmin(k2[2]))])
-            k4 = _deriv(i_L + h * k3[0], u_S + h * k3[1], k3[2],
-                        phase, u_ref, C, partition)
-            if k4 is None:
-                return finish("collapsed", t, load_ids[int(np.argmin(k3[2]))])
-            i_L = i_L + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            u_S = u_S + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            u_next, ok = _load_flow(u_S, phase.P, partition, k4[2])
+            # each stage warm-starts its load flow from the previous stage's
+            # solution, which also names the node when that solve fails
+            warm, di, du = u_L, 0.0, 0.0
+            di_sum = du_sum = 0.0
+            for node, weight in _RK4_STAGES:
+                k = _deriv(i_L + node * h * di, u_S + node * h * du, warm,
+                           phase, u_ref, C, partition)
+                if k is None:
+                    return finish("collapsed", t, load_ids[int(np.argmin(warm))])
+                di, du, warm, _ = k
+                di_sum = di_sum + weight * di
+                du_sum = du_sum + weight * du
+            i_L = i_L + (h / 6.0) * di_sum
+            u_S = u_S + (h / 6.0) * du_sum
+            u_next, ok = _load_flow(u_S, phase.P, partition, warm)
             t += h
             steps += 1
             if not ok or np.any(u_next <= _COLLAPSE_FLOOR):
-                node = load_ids[int(np.argmin(u_next if ok else k4[2]))]
+                node = load_ids[int(np.argmin(u_next if ok else warm))]
                 return finish("collapsed", t, node)
-            drop_streak = drop_streak + 1 if np.min(u_next / u_L) <= _COLLAPSE_DROP else 0
             u_L = u_next
-            if drop_streak >= _COLLAPSE_STREAK:
-                return finish("collapsed", t, load_ids[int(np.argmin(u_L))])
             if steps % decimation == 0:
                 record(t)
         t = t_stop

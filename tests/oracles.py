@@ -1,0 +1,101 @@
+"""Reference implementations the tests compare the package against.
+
+`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `is_m_matrix`
+decides the M-matrix property two independent ways, and `solve_qep` gives the
+quadratic-pencil spectrum that the closed-loop Jacobian must reproduce. The
+package itself uses none of them.
+"""
+
+import numpy as np
+
+from dcgrid import DomainError, NumericalError
+
+
+def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
+    """Pairwise solvability value f_ij(q); intervals i and j overlap iff u_ref^2 > f_ij.
+
+    Two branches: when the cross ratios a_i q/q_j + a_j q/q_i do not exceed
+    twice the larger diagonal ratio, the binding constraint is the larger
+    discriminant, 4*max(a_i q/q_i, a_j q/q_j); otherwise it is the interval
+    separation term. The value is invariant under positive scaling of q.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= 0):
+        raise DomainError("weights must be positive")
+    v = A @ q
+    si = v[i] / q[i]
+    if i == j:
+        return 4.0 * si
+    sj = v[j] / q[j]
+    bij = v[i] / q[j]
+    bji = v[j] / q[i]
+    peak = max(si, sj)
+    if bij + bji <= 2.0 * peak:
+        return 4.0 * peak
+    return (bij - bji) ** 2 / (bij + bji - si - sj)
+
+
+def is_m_matrix(A: np.ndarray) -> bool:
+    """True iff the Z-matrix A has all eigenvalues in the open right half-plane.
+
+    Decided by inverse positivity (A nonsingular with A^-1 >= 0, the defining
+    equivalence for Z-matrices) and cross-checked against the spectral
+    abscissa; disagreement raises NumericalError.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DomainError("expected a square matrix")
+    off = A - np.diag(np.diag(A))
+    if np.any(off > 0):
+        raise DomainError("not a Z-matrix: positive off-diagonal entry")
+    try:
+        inv = np.linalg.inv(A)
+        by_inverse = bool(np.all(inv >= -1e-12 * np.max(np.abs(inv))))
+    except np.linalg.LinAlgError:
+        by_inverse = False
+    abscissa = float(np.min(np.linalg.eigvals(A).real))
+    by_spectrum = abscissa > 0
+    if by_inverse != by_spectrum:
+        raise NumericalError(
+            f"M-matrix tests disagree (inverse-positive={by_inverse}, "
+            f"min Re eig={abscissa:.3e})")
+    return by_inverse
+
+
+def solve_qep(M: np.ndarray, D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """All 2m eigenvalues of the quadratic pencil lambda^2 M + lambda D + S.
+
+    First-companion linearization [[0, I], [-M^-1 S, -M^-1 D]] followed by a
+    dense eigensolve; every eigenpair is residual-checked against the pencil.
+    """
+    M = np.asarray(M, dtype=float)
+    D = np.asarray(D, dtype=float)
+    S = np.asarray(S, dtype=float)
+    m = M.shape[0]
+    if M.shape != (m, m) or D.shape != (m, m) or S.shape != (m, m):
+        raise DomainError("M, D, S must be square and same-shaped")
+    try:
+        MinvS = np.linalg.solve(M, S)
+        MinvD = np.linalg.solve(M, D)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("mass matrix M is singular") from exc
+    companion = np.block([
+        [np.zeros((m, m)), np.eye(m)],
+        [-MinvS, -MinvD],
+    ])
+    lams, vecs = np.linalg.eig(companion)
+    scale = (np.abs(lams)[:, None] ** 2 * np.linalg.norm(M)
+             + np.abs(lams)[:, None] * np.linalg.norm(D)
+             + np.linalg.norm(S))
+    for i, lam in enumerate(lams):
+        x = vecs[:m, i]
+        nx = np.linalg.norm(x)
+        if nx < 1e-12:  # eigenvector concentrated in the lambda*x half
+            x = vecs[m:, i] / lam
+            nx = np.linalg.norm(x)
+        x = x / nx
+        res = np.linalg.norm((lam * lam * M + lam * D + S) @ x)
+        if res > 1e-7 * scale[i, 0]:
+            raise NumericalError(
+                f"QEP eigenpair residual {res:.3e} exceeds tolerance at lambda={lam:.6g}")
+    return lams

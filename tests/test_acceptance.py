@@ -10,12 +10,13 @@ import pytest
 
 from dcgrid import (analyze_stability, build_admittance, certify,
                     cpl_linearize, effective_admittance, f_matrix, jacobian,
-                    load_scenario, simulate, solve_load_voltages, solve_qep,
+                    load_scenario, simulate, solve_load_voltages,
                     sufficient_stability)
 from dcgrid.cli import main
 from dcgrid.existence import _F, _residual
 from conftest import (EXAMPLES, HEAVY, LIGHT, TABLE1, Case, intervals_overlap,
                       multiset_distance, variant)
+from oracles import solve_qep
 from test_existence import BRACKET_LOW_LIGHT, U_STAR_HEAVY, U_STAR_LIGHT
 from test_linalg import Y1_REFERENCE
 
@@ -172,7 +173,7 @@ def test_pairwise_values_scale_invariant(corpus):
 
 
 def test_pairwise_values_decide_interval_overlap(corpus):
-    from dcgrid import f_pair
+    from oracles import f_pair
     rng = np.random.default_rng(2)
     done = 0
     idx = 0

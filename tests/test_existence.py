@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dcgrid import (DomainError, bracket, build_admittance, certify,
-                    f_matrix, f_pair, fixed_point_solve, load_matrix,
+                    f_matrix, fixed_point_solve, load_matrix,
                     multistart_newton, necessary_threshold, optimize_weights,
                     reduce_network, single_cpl_check)
 from dcgrid.existence import _perron_on_support, _residual, analytic_thresholds
 from conftest import HEAVY, LIGHT, variant
+from oracles import f_pair
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, NumericalError, is_m_matrix,
-                    min_symmetric_eigenvalue, perron, reduce_network, solve_qep)
+from dcgrid import (DomainError, NumericalError, min_symmetric_eigenvalue, perron,
+                    reduce_network)
 from conftest import multiset_distance
+from oracles import is_m_matrix, solve_qep
 
 # reduced load-side matrix for the reference grid, published to 3-4 digits
 Y1_REFERENCE = np.array([
