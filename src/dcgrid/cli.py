@@ -166,6 +166,8 @@ def cmd_sweep(args) -> int:
         raise SpecError("min must not exceed max", field="--min/--max")
     if args.points is not None and args.points < 1:
         raise SpecError("need at least one point", field="--points")
+    if args.points == 1 and args.vmin < args.vmax:
+        raise SpecError("one point needs --min equal to --max", field="--points")
     if args.bisect is not None and args.bisect <= 0:
         raise SpecError("tolerance must be positive", field="--bisect")
     if args.bisect is not None and args.param != "uref":
@@ -195,7 +197,7 @@ def cmd_sweep(args) -> int:
         if args.vmin == args.vmax:
             values = [args.vmin]
         else:
-            values = list(np.linspace(args.vmin, args.vmax, max(2, args.points)))
+            values = list(np.linspace(args.vmin, args.vmax, args.points))
         for value in values:
             evaluate(value)
     else:

@@ -11,7 +11,10 @@ orthant. The analyzer computes
 
   tau1  necessary threshold 2*sqrt(chi), chi the Perron root of A,
   tau2  best sufficient threshold sqrt(min_q max_ij f_ij(q)) over positive
-        weight vectors q (pairwise interval-overlap conditions),
+        weight vectors q (pairwise interval-overlap conditions), found by an
+        in-package Nelder-Mead simplex search whose iterates equal, bit for
+        bit, those of the reference minimize(method="Nelder-Mead") that
+        tests/oracles.py drives,
   tau3  sufficient threshold obtained by evaluating q at the Perron vector,
   tau4  sufficient threshold from the infinity-norm contraction bound,
 
@@ -33,7 +36,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, NumericalError
 from .linalg import PerronPair, _solve_balance, perron, reduce_network
@@ -220,15 +222,92 @@ def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return F
 
 
+class _BudgetSpent(Exception):
+    """Raised inside `_nelder_mead` when the objective would exceed maxfev calls."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float,
+                 fatol: float) -> tuple[np.ndarray, float, int]:
+    """Unbounded Nelder-Mead simplex search; returns (x, fun(x), evaluations).
+
+    Takes the same steps, down to the last bit, as the reference
+    `minimize(fun, x0, method="Nelder-Mead", options={"maxfev", "xatol",
+    "fatol"})` (version 1.17) that `tests/oracles.py` drives: reflection 1,
+    expansion 2, contraction 0.5 and shrink 0.5; the initial simplex scales
+    each coordinate by 1.05 (0.00025 where it is 0); fun sees a copy of each
+    point; the budget can run out in the middle of a step, leaving the
+    simplex as far as it got; and the vertices are sorted twice after the
+    first evaluations, which can reorder ties.
+    """
+    N = x0.size
+    sim = np.tile(np.asarray(x0, dtype=float), (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(N + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(np.copy(x))
+
+    def sort(sim, fsim):
+        order = np.argsort(fsim)
+        return sim[order], fsim[order]
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = sort(*sort(sim, fsim))
+    while nfev < maxfev:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:               # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:               # shrink towards the best vertex
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = sort(sim, fsim)
+    return sim[0], float(np.min(fsim)), nfev
+
+
 def optimize_weights(A: np.ndarray, eta: np.ndarray | None = None,
                      max_evals: int = 2000) -> tuple[np.ndarray, float]:
     """Minimize max_ij f_ij(q) over positive weights; returns (q*, tau2).
 
     Works in log coordinates with the last component pinned to zero (the
-    objective is scale-invariant) and runs a simplex search from q = 1 and
-    q = eta, restarting from the incumbent until the budget is spent. The
-    result can never exceed the value at either start, which pins
-    tau2 <= min(tau3, tau4) structurally.
+    objective is scale-invariant) and runs the in-package Nelder-Mead
+    simplex search `_nelder_mead`, which matches the reference Nelder-Mead of
+    `tests/oracles.py` step for step, from q = 1 and q = eta, restarting from
+    the incumbent until the budget is spent. The result can never exceed the
+    value at either start, which pins tau2 <= min(tau3, tau4) structurally.
     """
     m = A.shape[0]
     best_q = np.ones(m)
@@ -250,16 +329,15 @@ def optimize_weights(A: np.ndarray, eta: np.ndarray | None = None,
         remaining = max_evals
         prev = np.inf
         while remaining > 3 * m:
-            res = minimize(objective, z, method="Nelder-Mead",
-                           options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-12})
-            if res.fun < best_val:
-                best_val = float(res.fun)
-                best_q = np.exp(np.append(res.x, 0.0))
-            remaining -= res.nfev
-            if prev - res.fun <= 1e-12 * max(1.0, abs(res.fun)):
+            x, fun, nfev = _nelder_mead(objective, z, remaining, 1e-10, 1e-12)
+            if fun < best_val:
+                best_val = fun
+                best_q = np.exp(np.append(x, 0.0))
+            remaining -= nfev
+            if prev - fun <= 1e-12 * max(1.0, abs(fun)):
                 break
-            prev = res.fun
-            z = res.x  # restart with a fresh simplex around the incumbent
+            prev = fun
+            z = x  # restart with a fresh simplex around the incumbent
     return best_q / best_q.max(), float(np.sqrt(best_val))
 
 

@@ -64,10 +64,14 @@ def table1_reduced(table1_spec, table1_partition):
                           table1_spec.control.u_ref)
 
 
-def random_grid_document(rng, n_max=4, m_max=6):
-    """Random connected grid document at desk scale (n <= 4, m <= 6)."""
+def random_grid_document(rng, n_max=4, m_max=6, m=None):
+    """Random connected grid document at desk scale (n <= 4, m <= 6).
+
+    m fixes the number of loads; by default it is drawn from 1..m_max.
+    """
     n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
+    if m is None:
+        m = int(rng.integers(1, m_max + 1))
     N = n + m
     order = rng.permutation(N)
     edges = set()

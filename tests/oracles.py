@@ -1,14 +1,17 @@
 """Reference implementations the tests compare the package against.
 
 `f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `is_m_matrix`
-decides the M-matrix property two independent ways, and `solve_qep` gives the
-quadratic-pencil spectrum that the closed-loop Jacobian must reproduce. The
+decides the M-matrix property two independent ways, `solve_qep` gives the
+quadratic-pencil spectrum that the closed-loop Jacobian must reproduce, and
+`nelder_mead` and `optimize_weights` are scipy-driven references for
+`dcgrid.existence._nelder_mead` and the weight optimization built on it. The
 package itself uses none of them.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
-from dcgrid import DomainError, NumericalError
+from dcgrid import DomainError, NumericalError, f_matrix
 
 
 def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
@@ -99,3 +102,45 @@ def solve_qep(M: np.ndarray, D: np.ndarray, S: np.ndarray) -> np.ndarray:
             raise NumericalError(
                 f"QEP eigenpair residual {res:.3e} exceeds tolerance at lambda={lam:.6g}")
     return lams
+
+
+def nelder_mead(fun, x0, maxfev, xatol, fatol):
+    """scipy's Nelder-Mead with the options `_nelder_mead` takes; returns (x, fun, nfev)."""
+    res = minimize(fun, x0, method="Nelder-Mead",
+                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    return res.x, res.fun, res.nfev
+
+
+def optimize_weights(A, eta=None, max_evals=2000):
+    """`dcgrid.existence.optimize_weights` as it ran on scipy's `minimize`; (q*, tau2)."""
+    m = A.shape[0]
+    best_q = np.ones(m)
+    best_val = float(f_matrix(A, best_q).max())
+    if m == 1:
+        return best_q, float(np.sqrt(best_val))
+    starts = [np.ones(m)]
+    if eta is not None:
+        starts.append(np.asarray(eta, dtype=float) / eta[-1])
+
+    def objective(z):
+        return float(f_matrix(A, np.exp(np.append(z, 0.0))).max())
+
+    for q0 in starts:
+        val0 = float(f_matrix(A, q0).max())
+        if val0 < best_val:
+            best_val, best_q = val0, q0
+        z = np.log(q0[:-1] / q0[-1])
+        remaining = max_evals
+        prev = np.inf
+        while remaining > 3 * m:
+            res = minimize(objective, z, method="Nelder-Mead",
+                           options={"maxfev": remaining, "xatol": 1e-10, "fatol": 1e-12})
+            if res.fun < best_val:
+                best_val = float(res.fun)
+                best_q = np.exp(np.append(res.x, 0.0))
+            remaining -= res.nfev
+            if prev - res.fun <= 1e-12 * max(1.0, abs(res.fun)):
+                break
+            prev = res.fun
+            z = res.x
+    return best_q / best_q.max(), float(np.sqrt(best_val))

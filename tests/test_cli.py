@@ -216,6 +216,7 @@ def test_sweep_single_point_range(capsys):
     ["--min", "2", "--max", "1", "--points", "2"],
     ["--min", "1", "--max", "2", "--points", "0"],
     ["--min", "1", "--max", "2", "--bisect", "-0.1"],
+    ["--min", "88", "--max", "91", "--points", "1"],  # one point cannot span a range
 ])
 def test_sweep_rejects_bad_requests(args):
     assert main(["sweep", str(TABLE1), "--param", "uref"] + args) == 64
@@ -231,3 +232,30 @@ def test_console_entry_point():
                            str(TABLE1)], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "certified-exists" in proc.stdout
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # from here on, importing scipy or any submodule fails
+from dcgrid.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [name for name, mod in sys.modules.items()
+          if name.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the package needs numpy only; a lazy scipy import anywhere on these
+    # paths would fail the command instead of loading scipy
+    commands = [
+        ["analyze", str(TABLE1)],
+        ["sweep", str(TABLE1), "--param", "uref", "--min", "89.64", "--max", "91",
+         "--points", "3"],
+        ["simulate", _scenario_file(tmp_path), "--out", str(tmp_path / "trace.csv")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}

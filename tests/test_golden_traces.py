@@ -1,7 +1,11 @@
 """Regression against recorded traces of the three shipped scenarios.
 
 The simulator must reproduce the same events and termination (status,
-collapse time and node) and every stored sample within 1e-6*u_ref.
+collapse time and node) and every stored sample v to within one unit in its
+10th significant digit, the last one `to_csv` prints:
+|new - v| <= 1e-9*max(|v|, 1e-3*u_ref). The floor, 1e-12*u_ref in absolute
+terms, keeps samples near zero (currents at rest, the first time stamps) from
+being held to more digits than their scale warrants.
 """
 
 import json
@@ -29,4 +33,5 @@ def test_scenario_matches_golden_trace(name):
     assert new_header == header
     assert new_comments == comments  # events, termination, collapse time and node
     assert new_rows.shape == rows.shape
-    assert np.max(np.abs(new_rows - rows)) <= 1e-6 * u_ref
+    excess = np.abs(new_rows - rows) / (1e-9 * np.maximum(np.abs(rows), 1e-3 * u_ref))
+    assert excess.max() <= 1.0, f"sample {np.unravel_index(excess.argmax(), excess.shape)}"
