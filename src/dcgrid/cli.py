@@ -135,8 +135,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    trace = simulate(scenario)
+    # open the trace file before integrating, so a bad path fails at once
     with open(args.out, "w") as fh:
+        trace = simulate(scenario)
         trace.to_csv(fh)
     if trace.termination == "collapsed":
         print(f"collapsed at t={trace.collapse_time:g} s "
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_sweep(args)
-    except (SpecError, FileNotFoundError, IsADirectoryError) as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except (DomainError, NumericalError) as exc:

@@ -131,7 +131,7 @@ def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
     for step in range(steps + 1):
         current = c + Y @ u
         r = u * current + P
-        if np.all(np.abs(r) <= tol):
+        if (np.abs(r) <= tol).all():
             return u, True
         if step == steps:
             break
@@ -139,6 +139,6 @@ def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
             u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
         except np.linalg.LinAlgError:
             break
-        if np.any(u <= 0):
+        if (u <= 0).any():
             break
     return u, False

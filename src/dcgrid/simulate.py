@@ -8,8 +8,13 @@ State is (i_L, u_S): converter inductor currents behind the droop controller
 
 with the load voltages u_L an algebraic variable pinned each evaluation by
 the exact constant-power constraint u_i (Y_LS u_S + Y_LL u_L)_i = -P_i
-(index-1 DAE; the warm-started Newton solver `linalg._solve_balance` per
-Runge-Kutta stage, no fictitious load capacitance). A scenario that schedules
+(index-1 DAE, no fictitious load capacitance). Given u_L the dynamics are
+linear: with x = (i_L, u_S) every Runge-Kutta stage derivative is
+dx = M x + N u_L + e, with M, N and e built once per event-free phase. A step
+runs 4 load flows (the warm-started Newton solver `linalg._solve_balance`):
+one for each of stages 2-4 and one at the step's end. Stage 1 sits at the
+state where the previous flow already balanced the loads, so it reuses that
+u_L. A scenario that schedules
 an activate-cpl event starts with the loads open (P = 0, linear solve) until
 the event fires; otherwise loads draw power from t = 0. A source with
 k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
@@ -53,6 +58,7 @@ _DEFAULT_DT = 1e-6
 _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
 _LOAD_NEWTON_CAP = 50
+_CSV_BLOCK = 1024              # trace rows formatted per write
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
@@ -116,10 +122,11 @@ class SimulationTrace:
                   + [f"us_{i + 1}" for i in range(n)]
                   + [f"il_{i + 1}" for i in range(n)])
         fh.write(",".join(header) + "\n")
-        for row in range(self.t.shape[0]):
-            vals = np.concatenate(([self.t[row]], self.u_load[row],
-                                   self.u_source[row], self.i_inductor[row]))
-            fh.write(",".join(f"{v:.10g}" for v in vals) + "\n")
+        rows = np.column_stack((self.t, self.u_load, self.u_source, self.i_inductor))
+        line = ",".join(["%.10g"] * rows.shape[1]) + "\n"
+        for start in range(0, rows.shape[0], _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
         for when, what in self.events:
             fh.write(f"# event t={when:g} {what}\n")
         if self.termination == "collapsed":
@@ -197,13 +204,20 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(document)
 
 
-def _load_flow(u_S, P, partition, warm):
-    """Load voltages that balance P at source voltages u_S; returns (u_L, converged)."""
+def _load_tol(P):
+    """Per-load residual bound of the load flow; None when every load is open."""
+    return 1e-9 * np.maximum(P, 1.0) if P.any() else None
+
+
+def _load_flow(u_S, P, tol, partition, warm):
+    """Load voltages that balance P at source voltages u_S; returns (u_L, converged).
+
+    `tol` is `_load_tol(P)`: with every load open the balance is linear.
+    """
     c = partition.Y_LS @ u_S
-    if np.all(P == 0):
+    if tol is None:
         return np.linalg.solve(partition.Y_LL, -c), True
-    return _solve_balance(c, partition.Y_LL, P, warm, 1e-9 * np.maximum(P, 1.0),
-                          _LOAD_NEWTON_CAP)
+    return _solve_balance(c, partition.Y_LL, P, warm, tol, _LOAD_NEWTON_CAP)
 
 
 def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
@@ -217,24 +231,31 @@ def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
     u_S = np.asarray(u_S, dtype=float)
     P = np.asarray(P, dtype=float)
     warm = np.asarray(warm_start, dtype=float)
-    u, ok = _load_flow(u_S, P, partition, warm)
+    u, ok = _load_flow(u_S, P, _load_tol(P), partition, warm)
     if not ok:
         raise NumericalError("load power balance has no solution near the warm start")
     return u
 
 
 class _Phase:
-    """Mutable controller/load configuration between events."""
+    """Controller and load configuration between events, and the constants of
+    the state update it implies.
 
-    def __init__(self, spec: NetworkSpec, active: bool = True):
+    With the state x = (i_L, u_S), every stage derivative is the linear map
+    dx = M x + N u_L + e; `apply` rebuilds M, N, e, the load powers P in force
+    and their load-flow tolerance whenever an event changes the configuration.
+    """
+
+    def __init__(self, spec: NetworkSpec, partition: AdmittancePartition,
+                 active: bool = True):
         self.P_set = spec.p_vector()
         self.k = spec.k_diag()
         self.b = spec.control.b
         self.active = active
-
-    @property
-    def P(self):
-        return self.P_set if self.active else np.zeros_like(self.P_set)
+        self._u_ref = spec.control.u_ref
+        self._C = spec.c_diag()
+        self._partition = partition
+        self._build()
 
     def apply(self, ev: Event):
         if ev.action == "set-loads":
@@ -244,18 +265,20 @@ class _Phase:
             self.b = ev.b
         elif ev.action == "activate-cpl":
             self.active = True
+        self._build()
 
-
-def _deriv(i_L, u_S, warm, phase, u_ref, C, partition):
-    """Stage derivative; None signals a failed load solve (collapse)."""
-    u_L, ok = _load_flow(u_S, phase.P, partition, warm)
-    if not ok:
-        return None
-    i_S = partition.Y_SS @ u_S + partition.Y_SL @ u_L
-    X = np.where(phase.k > 0, phase.b * phase.k, phase.b)
-    di = (u_ref - phase.k * i_L - u_S) / X
-    du = (i_L - i_S) / C
-    return di, du, u_L, i_S
+    def _build(self):
+        self.P = self.P_set if self.active else np.zeros_like(self.P_set)
+        self.tol = _load_tol(self.P)
+        # X d(i_L)/dt = u_ref*1 - K i_L - u_S and C d(u_S)/dt = i_L - Y_SS u_S - Y_SL u_L
+        # (e carries u_ref/X as u_ref*(1/X), so that u_S = u_ref cancels exactly)
+        inv_X = 1.0 / np.where(self.k > 0, self.b * self.k, self.b)
+        C = self._C[:, None]
+        self.M = np.block([[np.diag(-self.k * inv_X), np.diag(-inv_X)],
+                           [np.diag(1.0 / self._C), -self._partition.Y_SS / C]])
+        self.N = np.vstack([np.zeros_like(self._partition.Y_SL),
+                            -self._partition.Y_SL / C])
+        self.e = np.concatenate([self._u_ref * inv_X, np.zeros_like(inv_X)])
 
 
 def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTrace:
@@ -269,12 +292,11 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
     spec = scenario.spec
     partition = build_admittance(spec)
     u_ref = spec.control.u_ref
-    C = spec.c_diag()
     n, m = spec.n, spec.m
     load_ids = tuple(l.id for l in spec.loads)
     # scheduling an activate-cpl event means the run starts with loads open
     starts_open = any(ev.action == "activate-cpl" for ev in scenario.events)
-    phase = _Phase(spec, active=not starts_open)
+    phase = _Phase(spec, partition, active=not starts_open)
 
     total_steps = max(1, math.ceil(scenario.horizon / scenario.dt))
     if decimation is None:
@@ -295,24 +317,35 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
            else u_ref * np.ones(n))
     i_L = (np.asarray(scenario.i_inductor0, dtype=float) if scenario.i_inductor0 is not None
            else np.zeros(n))
-    u_L, ok = _load_flow(u_S, phase.P, partition, u_ref * np.ones(m))
+    x = np.concatenate([i_L, u_S])
+    u_L, ok = _load_flow(u_S, phase.P, phase.tol, partition, u_ref * np.ones(m))
     if not ok:
         raise SpecError("initial state admits no load-flow solution", field="scenario")
 
-    samples = []
+    # one row per sample: t | u_L | i_L | u_S | i_S. The size allows for each
+    # event splitting a step and each stretch between events ending in a
+    # round-off step; the buffer still grows should round-off add more
+    samples = np.empty(((total_steps + 2 * len(events) + 1) // decimation + 2,
+                        1 + m + 3 * n))
+    count = 0
 
     def record(time):
-        i_S = partition.Y_SS @ u_S + partition.Y_SL @ u_L
-        samples.append((time, u_L.copy(), u_S.copy(), i_L.copy(), i_S))
+        nonlocal samples, count
+        if count == samples.shape[0]:
+            samples = np.concatenate([samples, np.empty_like(samples)])
+        row = samples[count]
+        row[0] = time
+        row[1:1 + m] = u_L
+        row[1 + m:1 + m + 2 * n] = x
+        row[1 + m + 2 * n:] = partition.Y_SS @ x[n:] + partition.Y_SL @ u_L
+        count += 1
 
     def finish(termination, collapse_time=None, node=None):
-        ts = np.array([s[0] for s in samples])
+        kept = samples[:count]
         return SimulationTrace(
-            t=ts,
-            u_load=np.array([s[1] for s in samples]).reshape(len(samples), m),
-            u_source=np.array([s[2] for s in samples]).reshape(len(samples), n),
-            i_inductor=np.array([s[3] for s in samples]).reshape(len(samples), n),
-            i_source=np.array([s[4] for s in samples]).reshape(len(samples), n),
+            t=kept[:, 0], u_load=kept[:, 1:1 + m],
+            u_source=kept[:, 1 + m + n:1 + m + 2 * n], i_inductor=kept[:, 1 + m:1 + m + n],
+            i_source=kept[:, 1 + m + 2 * n:],
             events=tuple(applied), termination=termination,
             collapse_time=collapse_time, collapse_node=node,
             load_ids=load_ids, source_ids=tuple(s.id for s in spec.sources))
@@ -324,24 +357,26 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
         t_stop = min(events[0].t, scenario.horizon) if events else scenario.horizon
         while t < t_stop - tiny:
             h = min(scenario.dt, t_stop - t)
-            # each stage warm-starts its load flow from the previous stage's
-            # solution, which also names the node when that solve fails
-            warm, di, du = u_L, 0.0, 0.0
-            di_sum = du_sum = 0.0
-            for node, weight in _RK4_STAGES:
-                k = _deriv(i_L + node * h * di, u_S + node * h * du, warm,
-                           phase, u_ref, C, partition)
-                if k is None:
+            # stage 1 sits at the step's start, where u_L already balances the
+            # loads; each later stage warm-starts its load flow from the
+            # previous stage's solution, which also names the node when that
+            # solve fails
+            warm = u_L
+            dx = phase.M @ x + phase.N @ warm + phase.e
+            dx_sum = dx
+            for node, weight in _RK4_STAGES[1:]:
+                x_stage = x + node * h * dx
+                warm_next, ok = _load_flow(x_stage[n:], phase.P, phase.tol, partition, warm)
+                if not ok:
                     return finish("collapsed", t, load_ids[int(np.argmin(warm))])
-                di, du, warm, _ = k
-                di_sum = di_sum + weight * di
-                du_sum = du_sum + weight * du
-            i_L = i_L + (h / 6.0) * di_sum
-            u_S = u_S + (h / 6.0) * du_sum
-            u_next, ok = _load_flow(u_S, phase.P, partition, warm)
+                warm = warm_next
+                dx = phase.M @ x_stage + phase.N @ warm + phase.e
+                dx_sum = dx_sum + weight * dx
+            x = x + (h / 6.0) * dx_sum
+            u_next, ok = _load_flow(x[n:], phase.P, phase.tol, partition, warm)
             t += h
             steps += 1
-            if not ok or np.any(u_next <= _COLLAPSE_FLOOR):
+            if not ok or (u_next <= _COLLAPSE_FLOOR).any():
                 node = load_ids[int(np.argmin(u_next if ok else warm))]
                 return finish("collapsed", t, node)
             u_L = u_next
@@ -353,10 +388,10 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
             phase.apply(ev)
             applied.append((ev.t, ev.describe()))
             # re-pin the algebraic variable under the new load constraint
-            u_L, ok = _load_flow(u_S, phase.P, partition, u_L)
+            u_L, ok = _load_flow(x[n:], phase.P, phase.tol, partition, u_L)
             if not ok:
                 return finish("collapsed", t, load_ids[int(np.argmin(u_L))])
 
-    if samples[-1][0] < t - tiny:
+    if samples[count - 1, 0] < t - tiny:
         record(t)
     return finish("completed")

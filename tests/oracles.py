@@ -2,10 +2,11 @@
 
 `f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `is_m_matrix`
 decides the M-matrix property two independent ways, `solve_qep` gives the
-quadratic-pencil spectrum that the closed-loop Jacobian must reproduce, and
+quadratic-pencil spectrum that the closed-loop Jacobian must reproduce,
 `nelder_mead` and `optimize_weights` are scipy-driven references for
-`dcgrid.existence._nelder_mead` and the weight optimization built on it. The
-package itself uses none of them.
+`dcgrid.existence._nelder_mead` and the weight optimization built on it, and
+`trace_csv` is the row-by-row writer that `SimulationTrace.to_csv` must match
+byte for byte. The package itself uses none of them.
 """
 
 import numpy as np
@@ -144,3 +145,25 @@ def optimize_weights(A, eta=None, max_evals=2000):
             prev = res.fun
             z = res.x
     return best_q / best_q.max(), float(np.sqrt(best_val))
+
+
+def trace_csv(trace, fh) -> None:
+    """`dcgrid.SimulationTrace.to_csv` as it wrote one row at a time."""
+    n = trace.u_source.shape[1]
+    m = trace.u_load.shape[1]
+    header = (["t"]
+              + [f"u_{n + i + 1}" for i in range(m)]
+              + [f"us_{i + 1}" for i in range(n)]
+              + [f"il_{i + 1}" for i in range(n)])
+    fh.write(",".join(header) + "\n")
+    for row in range(trace.t.shape[0]):
+        vals = np.concatenate(([trace.t[row]], trace.u_load[row],
+                               trace.u_source[row], trace.i_inductor[row]))
+        fh.write(",".join(f"{v:.10g}" for v in vals) + "\n")
+    for when, what in trace.events:
+        fh.write(f"# event t={when:g} {what}\n")
+    if trace.termination == "collapsed":
+        fh.write(f"# terminated collapsed t={trace.collapse_time:g} "
+                 f"node={trace.collapse_node}\n")
+    else:
+        fh.write("# terminated completed\n")

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from dcgrid import cli
 from dcgrid.cli import main
-from conftest import TABLE1
+from conftest import EXAMPLES, TABLE1
 
 
 @pytest.fixture()
@@ -123,6 +124,34 @@ def test_simulate_invalid_scenario(tmp_path):
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == 64
+
+
+@pytest.fixture()
+def bad_out(tmp_path):
+    """An output path whose parent is a regular file, so it cannot be opened."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / "out")
+
+
+def test_simulate_bad_out_path_fails_before_integrating(bad_out, capsys, monkeypatch):
+    def integrate(scenario):
+        raise AssertionError("integrated before opening --out")
+    monkeypatch.setattr(cli, "simulate", integrate)
+    scenario = str(EXAMPLES / "load_step_collapse.json")
+    assert main(["simulate", scenario, "--out", bad_out]) == 64
+    assert "error" in capsys.readouterr().err
+
+
+def test_analyze_bad_out_path(bad_out, capsys):
+    assert main(["analyze", str(TABLE1), "--out", bad_out]) == 64
+    assert "error" in capsys.readouterr().err
+
+
+def test_sweep_bad_out_path(bad_out, capsys):
+    assert main(["sweep", str(TABLE1), "--param", "uref", "--min", "89.64",
+                 "--max", "89.64", "--points", "1", "--out", bad_out]) == 64
+    assert "error" in capsys.readouterr().err
 
 
 SWEEP_HEADER = ("param,value,verdict,root_found,tau_necessary,tau_optimized,"

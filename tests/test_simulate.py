@@ -1,5 +1,7 @@
 """Scenario parsing, the algebraic load solve, and the RK4 integrator."""
 
+import dataclasses
+import importlib
 import io
 import json
 
@@ -221,3 +223,42 @@ def test_trace_arrays_are_frozen():
     trace = simulate(sc)
     with pytest.raises(ValueError):
         trace.u_load[0, 0] = 1.0
+
+
+def test_four_load_flows_per_step(monkeypatch):
+    # stage 1 reuses the load voltages that the previous end-of-step flow (or
+    # the initial flow, or an event's re-pin) solved at the same state
+    module = importlib.import_module("dcgrid.simulate")
+    solve = module._solve_balance
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(module, "_solve_balance", counted)
+    sc = parse_scenario(_scenario_doc(
+        0.001, dt=1e-5, events=[{"t": 0.0005, "action": "set-loads", "P": [700.0]}]))
+    trace = simulate(sc, decimation=1)
+    steps = trace.t.shape[0] - 1
+    assert trace.termination == "completed" and steps >= 100
+    assert len(calls) == 1 + 4 * steps + 1  # initial flow, 4 per step, the re-pin
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["load_step_stable", "load_step_collapse",
+                                  "soft_start_high_uref"])
+def test_shipped_scenarios_do_not_depend_on_dt(name):
+    coarse_sc = load_scenario(EXAMPLES / f"{name}.json")
+    coarse = simulate(coarse_sc)
+    fine = simulate(dataclasses.replace(coarse_sc, dt=coarse_sc.dt / 2))
+    assert fine.termination == coarse.termination
+    assert fine.collapse_node == coarse.collapse_node
+    if coarse.termination == "collapsed":
+        assert abs(fine.collapse_time - coarse.collapse_time) <= coarse_sc.dt
+    # every coarse sample time is also a fine one (up to accumulated round-off)
+    tol = 1e-6 * coarse_sc.dt
+    idx = np.minimum(np.searchsorted(fine.t, coarse.t - tol), fine.t.shape[0] - 1)
+    np.testing.assert_allclose(fine.t[idx], coarse.t, rtol=0, atol=tol)
+    gap = np.max(np.abs(fine.u_load[idx] - coarse.u_load))
+    assert gap <= 1e-6 * coarse_sc.spec.control.u_ref
