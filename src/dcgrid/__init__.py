@@ -9,10 +9,9 @@ hangs off a single JSON grid document; see `network` for the schema.
 
 from .errors import DomainError, NumericalError, SpecError
 from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
-                        analytic_thresholds, bracket, certify, f_matrix,
-                        fixed_point_solve, load_matrix, multistart_newton,
-                        necessary_threshold, optimize_weights, prepare,
-                        single_cpl_check)
+                        analytic_thresholds, bracket, certify, dual_ascent,
+                        f_matrix, fixed_point_solve, load_matrix,
+                        necessary_threshold, prepare, single_cpl_check)
 from .linalg import (PerronPair, ReducedNetwork, min_symmetric_eigenvalue, perron,
                      reduce_network)
 from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
@@ -33,10 +32,10 @@ __all__ = [
     "SimulationTrace", "SourceNode", "SpecError", "StabilityReport",
     "analytic_thresholds", "analyze_stability", "b_max", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",
-    "effective_admittance", "f_matrix", "fixed_point_solve", "jacobian",
-    "load_matrix", "load_network",
-    "load_scenario", "min_symmetric_eigenvalue", "multistart_newton",
-    "necessary_threshold", "optimize_weights", "parse_network",
+    "dual_ascent", "effective_admittance", "f_matrix", "fixed_point_solve",
+    "jacobian", "load_matrix", "load_network",
+    "load_scenario", "min_symmetric_eigenvalue",
+    "necessary_threshold", "parse_network",
     "parse_scenario", "perron", "prepare", "reduce_network", "simulate",
     "single_cpl_check", "solve_load_voltages", "sufficient_stability",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -38,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="certificate and stability report for a grid")
     pa.add_argument("spec", help="grid document (JSON)")
     pa.add_argument("--out", help="also write the structured report here (JSON)")
-    pa.add_argument("--seed", type=int, default=0, help="seed for randomized starts")
+    pa.add_argument("--seed", type=int, default=0,
+                    help="accepted for compatibility; the analysis draws no random numbers")
 
     ps = sub.add_parser("simulate", help="integrate a scenario and write a CSV trace")
     ps.add_argument("scenario", help="scenario document (JSON)")
@@ -56,13 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; points run in order in one thread")
     pw.add_argument("--out", help="CSV output path (default: stdout)")
-    pw.add_argument("--seed", type=int, default=0)
+    pw.add_argument("--seed", type=int, default=0,
+                    help="accepted for compatibility; the analysis draws no random numbers")
     return parser
 
 
-def _analysis_record(spec, path, seed):
+def _analysis_record(spec, path):
     grid = prepare(spec)
-    cert = certify(grid, seed=seed)
+    cert = certify(grid)
     advisory = single_cpl_check(grid.partition, spec.k_diag(), spec.control.u_ref, grid.P)
     report = None
     if cert.u_load is not None:
@@ -105,8 +108,7 @@ def _render(record) -> str:
     if cert["bracket_low"] is not None:
         lines.append(f"bracket low (V): {_fmt_vec(cert['bracket_low'])}")
     if cert["u_load"] is not None:
-        tag = " (no certificate)" if cert["uncertified_root"] else ""
-        lines.append(f"u_load (V){tag}: {_fmt_vec(cert['u_load'])}")
+        lines.append(f"u_load (V): {_fmt_vec(cert['u_load'])}")
         lines.append(f"residual: {cert['residual']:.3e}")
     if cert["note"]:
         lines.append(f"note: {cert['note']}")
@@ -124,7 +126,7 @@ def _render(record) -> str:
 
 def cmd_analyze(args) -> int:
     spec = load_network(args.spec)
-    record = _analysis_record(spec, args.spec, args.seed)
+    record = _analysis_record(spec, args.spec)
     print(_render(record))
     if args.out:
         with open(args.out, "w") as fh:
@@ -135,10 +137,19 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    # open the trace file before integrating, so a bad path fails at once
-    with open(args.out, "w") as fh:
-        trace = simulate(scenario)
-        trace.to_csv(fh)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"--out is a directory: {args.out}")
+    # write the trace beside --out and rename it on success: a bad path fails
+    # before integrating, and a rejected scenario leaves an existing file alone
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            trace = simulate(scenario)
+            trace.to_csv(fh)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):  # the run failed after the file was opened
+            os.remove(tmp)
     if trace.termination == "collapsed":
         print(f"collapsed at t={trace.collapse_time:g} s "
               f"(node {trace.collapse_node}); trace written to {args.out}")
@@ -177,7 +188,7 @@ def cmd_sweep(args) -> int:
     # the thresholds are computed once: a uref point only moves u_ref, a load
     # point scales them by sqrt(s), and a b point reuses the certificate whole
     grid = prepare(spec)
-    base = certify(grid, seed=args.seed) if args.param == "b" else None
+    base = certify(grid) if args.param == "b" else None
     rows = {}
 
     def evaluate(value):
@@ -186,7 +197,7 @@ def cmd_sweep(args) -> int:
             b = value
         else:
             point = grid.with_uref(value) if args.param == "uref" else grid.scaled(value)
-            cert = certify(point, seed=args.seed)
+            cert = certify(point)
         report = None
         if cert.u_load is not None:
             report = analyze_stability(point, cert.u_load, b=b)

@@ -1,4 +1,4 @@
-"""Equilibrium existence: thresholds, weight optimization, bracket, fixed point.
+"""Equilibrium existence: thresholds, exact threshold certificate, bracket, fixed point.
 
 The grid admits a constant steady state iff the load-voltage balance
 
@@ -11,23 +11,28 @@ orthant. The analyzer computes
 
   tau1  necessary threshold 2*sqrt(chi), chi the Perron root of A,
   tau2  best sufficient threshold sqrt(min_q max_ij f_ij(q)) over positive
-        weight vectors q (pairwise interval-overlap conditions), found by an
-        in-package Nelder-Mead simplex search whose iterates equal, bit for
-        bit, those of the reference minimize(method="Nelder-Mead") that
-        tests/oracles.py drives,
+        weight vectors q (pairwise interval-overlap conditions), evaluated at
+        q = 1/x for the minimizer x of the geometric program
+        tau* = min_x max_i (x + A(1/x))_i, where it equals tau*,
   tau3  sufficient threshold obtained by evaluating q at the Perron vector,
   tau4  sufficient threshold from the infinity-norm contraction bound,
 
 builds the order bracket [h*xi, zeta] on which F maps into itself (so a fixed
 point exists by monotone iteration), and runs that iteration to the
-high-voltage equilibrium. Between tau1 and the achieved tau2 sufficiency is
-silent; a multi-start Newton search then looks for solutions empirically.
+high-voltage equilibrium.
 
-The work splits in two stages. The thresholds and the weights depend on A
-alone, which depends on neither u_ref nor b, and scaling every load by s
-turns A into s*A and every threshold into sqrt(s) times itself; `prepare`
-does that stage once per grid. `certify` then only compares u_ref with the
-thresholds and solves inside the bracket.
+`dual_ascent` solves that geometric program with a two-sided certificate: a
+dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
+can beat, and a primal floor x with x + A(1/x) <= tau*1, which proves one
+exists at tau* and above. The two agree to 1e-10, so above tau2 the
+bracket certifies existence, and a u_ref below tau_dual*(1 - 1e-9) is
+reported undetermined with the bound that rules it out; no search runs.
+
+The work splits in two stages. The thresholds and the certificates depend on
+A alone, which depends on neither u_ref nor b, and scaling every load by s
+turns A into s*A, every threshold into sqrt(s) times itself, x into sqrt(s)*x
+and leaves w alone; `prepare` does that stage once per grid. `certify` then
+only compares u_ref with the thresholds and solves inside the bracket.
 """
 
 from __future__ import annotations
@@ -49,11 +54,10 @@ __all__ = [
     "load_matrix",
     "necessary_threshold",
     "f_matrix",
-    "optimize_weights",
+    "dual_ascent",
     "analytic_thresholds",
     "bracket",
     "fixed_point_solve",
-    "multistart_newton",
     "single_cpl_check",
     "prepare",
     "certify",
@@ -61,8 +65,9 @@ __all__ = [
 
 _FIXED_POINT_CAP = 200_000
 _NEWTON_POLISH_STEPS = 20
-_NEWTON_SEARCH_STEPS = 60
-_NEWTON_STARTS = 17
+_ASCENT_CAP = 20_000          # dual-ascent iterations; 150-850 reach the gap
+_ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
+_DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,20 @@ class ExistenceCertificate:
     tau_optimized: float
     tau_perron_vector: float
     tau_contraction: float
-    q_weights: np.ndarray                 # optimizing weights, scaled to max 1
+    tau_dual: float                       # no equilibrium below this bound
+    q_weights: np.ndarray                 # 1/primal_floor, scaled to max 1
+    dual_weights: np.ndarray              # w, sums to 1, proves tau_dual
+    primal_floor: np.ndarray              # x, volts: x + A(1/x) <= tau*1
     bracket_low: np.ndarray | None        # h*xi when the bracket is feasible
     bracket_high: np.ndarray              # zeta
     verdict: str                          # certified-exists | necessary-failed | undetermined
     u_load: np.ndarray | None             # equilibrium load voltages when found
     residual: float | None                # inf-norm of the power balance at u_load
-    uncertified_root: bool = False        # root found by Newton search, no bracket
     note: str = ""
 
     def __post_init__(self):
-        for arr in (self.q_weights, self.bracket_low, self.bracket_high, self.u_load):
+        for arr in (self.q_weights, self.dual_weights, self.primal_floor,
+                    self.bracket_low, self.bracket_high, self.u_load):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -101,13 +109,15 @@ class ExistenceCertificate:
             "tau_optimized": self.tau_optimized,
             "tau_perron_vector": self.tau_perron_vector,
             "tau_contraction": self.tau_contraction,
+            "tau_dual": self.tau_dual,
             "q_weights": self.q_weights.tolist(),
+            "dual_weights": self.dual_weights.tolist(),
+            "primal_floor": self.primal_floor.tolist(),
             "bracket_low": None if self.bracket_low is None else self.bracket_low.tolist(),
             "bracket_high": self.bracket_high.tolist(),
             "verdict": self.verdict,
             "u_load": None if self.u_load is None else self.u_load.tolist(),
             "residual": self.residual,
-            "uncertified_root": bool(self.uncertified_root),
             "note": self.note,
         }
 
@@ -132,10 +142,14 @@ class PreparedGrid:
     tau_optimized: float
     tau_perron_vector: float
     tau_contraction: float
-    q_weights: np.ndarray                 # optimizing weights, scaled to max 1
+    tau_dual: float
+    q_weights: np.ndarray                 # 1/primal_floor, scaled to max 1
+    dual_weights: np.ndarray
+    primal_floor: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.Y1, self.P, self.A, self.q_weights):
+        for arr in (self.Y1, self.P, self.A, self.q_weights, self.dual_weights,
+                    self.primal_floor):
             arr.setflags(write=False)
 
     def with_uref(self, u_ref: float) -> PreparedGrid:
@@ -146,8 +160,9 @@ class PreparedGrid:
     def scaled(self, s: float) -> PreparedGrid:
         """The same grid with every load power multiplied by s >= 0.
 
-        A becomes s*A, so the Perron vector and the weights are unchanged and
-        every threshold is sqrt(s) times the unscaled one. A itself is rebuilt
+        A becomes s*A, so the Perron vector and both weight vectors are
+        unchanged, the primal floor x becomes sqrt(s)*x, and every threshold
+        is sqrt(s) times the unscaled one. A itself is rebuilt
         from the scaled powers, so `certify` still checks the bracket on the
         actual matrix rather than assuming it.
         """
@@ -164,7 +179,8 @@ class PreparedGrid:
             tau_necessary=self.tau_necessary * root,
             tau_optimized=self.tau_optimized * root,
             tau_perron_vector=self.tau_perron_vector * root,
-            tau_contraction=self.tau_contraction * root)
+            tau_contraction=self.tau_contraction * root,
+            tau_dual=self.tau_dual * root, primal_floor=self.primal_floor * root)
 
 
 def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -222,123 +238,41 @@ def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return F
 
 
-class _BudgetSpent(Exception):
-    """Raised inside `_nelder_mead` when the objective would exceed maxfev calls."""
+def dual_ascent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exact solvability threshold tau* with both certificates; (w, x, tau_dual).
 
-
-def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float,
-                 fatol: float) -> tuple[np.ndarray, float, int]:
-    """Unbounded Nelder-Mead simplex search; returns (x, fun(x), evaluations).
-
-    Takes the same steps, down to the last bit, as the reference
-    `minimize(fun, x0, method="Nelder-Mead", options={"maxfev", "xatol",
-    "fatol"})` (version 1.17) that `tests/oracles.py` drives: reflection 1,
-    expansion 2, contraction 0.5 and shrink 0.5; the initial simplex scales
-    each coordinate by 1.05 (0.00025 where it is 0); fun sees a copy of each
-    point; the budget can run out in the middle of a step, leaving the
-    simplex as far as it got; and the vertices are sorted twice after the
-    first evaluations, which can reorder ties.
+    tau* = min over x > 0 of max_i (x + A(1/x))_i. For every w in the simplex
+    AM-GM gives max_i (x + A(1/x))_i >= 2 sum_j sqrt(w_j (A'w)_j) = tau_dual,
+    so w proves that no equilibrium exists below tau_dual, and x proves that
+    one exists at every u_ref >= max(x + A(1/x)). The ascent iterates
+    w <- w*sqrt(x + A(1/x)), renormalized, with x = sqrt(A'w/w), on the loads
+    with P > 0 (A's nonzero columns), until the two bounds agree to
+    _ASCENT_GAP. Each iterate is a valid pair, so hitting _ASCENT_CAP only
+    leaves a wider gap. A zero-load row r gets x_r = tau - (A(1/x))_r, which
+    puts it exactly at the primal bound tau.
     """
-    N = x0.size
-    sim = np.tile(np.asarray(x0, dtype=float), (N + 1, 1))
-    for k in range(N):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(N + 1, np.inf)
-    nfev = 0
+    support = np.flatnonzero(A.any(axis=0))
+    B = A[np.ix_(support, support)]
 
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return fun(np.copy(x))
+    def step(w):
+        Aw = B.T @ w
+        x = np.sqrt(Aw / w)
+        return x, x + B @ (1.0 / x), 2.0 * float(np.sum(np.sqrt(w * Aw)))
 
-    def sort(sim, fsim):
-        order = np.argsort(fsim)
-        return sim[order], fsim[order]
-
-    try:
-        for k in range(N + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
-    sim, fsim = sort(*sort(sim, fsim))
-    while nfev < maxfev:
-        try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-                break
-            xbar = sim[:-1].sum(axis=0) / N
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:               # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:               # shrink towards the best vertex
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = sort(sim, fsim)
-    return sim[0], float(np.min(fsim)), nfev
-
-
-def optimize_weights(A: np.ndarray, eta: np.ndarray | None = None,
-                     max_evals: int = 2000) -> tuple[np.ndarray, float]:
-    """Minimize max_ij f_ij(q) over positive weights; returns (q*, tau2).
-
-    Works in log coordinates with the last component pinned to zero (the
-    objective is scale-invariant) and runs the in-package Nelder-Mead
-    simplex search `_nelder_mead`, which matches the reference Nelder-Mead of
-    `tests/oracles.py` step for step, from q = 1 and q = eta, restarting from
-    the incumbent until the budget is spent. The result can never exceed the
-    value at either start, which pins tau2 <= min(tau3, tau4) structurally.
-    """
+    w = np.full(support.size, 1.0 / support.size)
+    x, g, tau_dual = step(w)
+    for _ in range(_ASCENT_CAP):
+        if g.max() - tau_dual <= _ASCENT_GAP * tau_dual:
+            break
+        w = w * np.sqrt(g)
+        w /= w.sum()
+        x, g, tau_dual = step(w)
     m = A.shape[0]
-    best_q = np.ones(m)
-    best_val = float(f_matrix(A, best_q).max())
-    if m == 1:
-        return best_q, float(np.sqrt(best_val))
-    starts = [np.ones(m)]
-    if eta is not None:
-        starts.append(np.asarray(eta, dtype=float) / eta[-1])
-
-    def objective(z):
-        return float(f_matrix(A, np.exp(np.append(z, 0.0))).max())
-
-    for q0 in starts:
-        val0 = float(f_matrix(A, q0).max())
-        if val0 < best_val:
-            best_val, best_q = val0, q0
-        z = np.log(q0[:-1] / q0[-1])
-        remaining = max_evals
-        prev = np.inf
-        while remaining > 3 * m:
-            x, fun, nfev = _nelder_mead(objective, z, remaining, 1e-10, 1e-12)
-            if fun < best_val:
-                best_val = fun
-                best_q = np.exp(np.append(x, 0.0))
-            remaining -= nfev
-            if prev - fun <= 1e-12 * max(1.0, abs(fun)):
-                break
-            prev = fun
-            z = x  # restart with a fresh simplex around the incumbent
-    return best_q / best_q.max(), float(np.sqrt(best_val))
+    w_full, x_full = np.zeros(m), np.empty(m)
+    w_full[support], x_full[support] = w, x
+    rest = np.setdiff1d(np.arange(m), support)
+    x_full[rest] = g.max() - A[np.ix_(rest, support)] @ (1.0 / x)
+    return w_full, x_full, tau_dual
 
 
 def analytic_thresholds(A: np.ndarray, pair: PerronPair) -> tuple[float, float]:
@@ -407,11 +341,12 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
     u = brk.high.copy()
     tol = 1e-10 * u_ref
     guard = 1e-7 * u_ref
+    lo, hi = brk.low - guard, brk.high + guard
     for _ in range(_FIXED_POINT_CAP):
         nxt = _F(u_ref, A, u)
-        if np.any(nxt < brk.low - guard) or np.any(nxt > brk.high + guard):
+        if (nxt < lo).any() or (nxt > hi).any():
             raise NumericalError("fixed-point iterate left the bracket")
-        if np.max(np.abs(nxt - u)) <= tol:
+        if abs(nxt - u).max() <= tol:
             u = nxt
             break
         u = nxt
@@ -419,39 +354,9 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
         raise NumericalError("fixed-point iteration hit the step cap")
     polished, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, u,
                                   1e-10 * u_ref * u_ref, _NEWTON_POLISH_STEPS)
-    if ok and np.all(polished >= brk.low - guard) and np.all(polished <= brk.high + guard):
+    if ok and (polished >= lo).all() and (polished <= hi).all():
         u = polished
     return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
-
-
-def multistart_newton(u_ref: float, Y1: np.ndarray, P: np.ndarray,
-                      seed: int = 0) -> np.ndarray | None:
-    """Best-effort root search when no bracket certifies existence.
-
-    Starts: zeta, the midline (u_ref/2 + eps)*1, and uniform draws from the
-    box [(u_ref/2)*1, zeta]. A root is accepted when the power-balance
-    residual is below 1e-8*u_ref^2 and all voltages are positive. Returns the
-    componentwise-largest root found, or None.
-    """
-    P = np.asarray(P, dtype=float)
-    m = Y1.shape[0]
-    rng = np.random.default_rng(seed)
-    starts = [u_ref * np.ones(m), (0.5 * u_ref + 1e-6 * u_ref) * np.ones(m)]
-    lo, hi = 0.5 * u_ref, u_ref
-    for _ in range(_NEWTON_STARTS - 2):
-        starts.append(lo + (hi - lo) * rng.random(m))
-    c = -u_ref * Y1.sum(axis=1)
-    accept = 1e-8 * u_ref * u_ref
-    best = None
-    for u0 in starts:
-        u, ok = _solve_balance(c, Y1, P, u0, 1e-10 * u_ref * u_ref, _NEWTON_SEARCH_STEPS)
-        if not ok or np.any(u <= 0):
-            continue
-        if np.max(np.abs(_residual(u, Y1, u_ref, P))) > accept:
-            continue
-        if best is None or np.sum(u) > np.sum(best):
-            best = u
-    return best
 
 
 def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> bool:
@@ -473,7 +378,7 @@ def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> b
 
 
 def prepare(spec: NetworkSpec) -> PreparedGrid:
-    """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, q*."""
+    """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, w, x."""
     partition = build_admittance(spec)  # re-asserts connectivity
     Y1 = reduce_network(partition, spec.k_diag(), spec.control.u_ref).Y1
     P = spec.p_vector()
@@ -482,23 +387,28 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
         return PreparedGrid(
             spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=None,
             tau_necessary=0.0, tau_optimized=0.0, tau_perron_vector=0.0,
-            tau_contraction=0.0, q_weights=np.ones(spec.m))
+            tau_contraction=0.0, tau_dual=0.0, q_weights=np.ones(spec.m),
+            dual_weights=np.full(spec.m, 1.0 / spec.m), primal_floor=np.zeros(spec.m))
     pair = _perron_on_support(A, P)
     tau3, tau4 = analytic_thresholds(A, pair)
-    q_opt, tau2 = optimize_weights(A, pair.eta)
+    w, x, tau_dual = dual_ascent(A)
+    q = 1.0 / x
     return PreparedGrid(
         spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
-        tau_necessary=float(2.0 * np.sqrt(pair.chi)), tau_optimized=tau2,
-        tau_perron_vector=tau3, tau_contraction=tau4, q_weights=q_opt)
+        tau_necessary=float(2.0 * np.sqrt(pair.chi)),
+        tau_optimized=float(np.sqrt(f_matrix(A, q).max())),
+        tau_perron_vector=tau3, tau_contraction=tau4, tau_dual=tau_dual,
+        q_weights=q / q.max(), dual_weights=w, primal_floor=x)
 
 
-def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0) -> ExistenceCertificate:
+def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
     """Full existence analysis of a grid: thresholds, bracket, equilibrium.
 
     Verdicts: certified-exists (bracket feasible and the monotone solver
-    converged), necessary-failed (u_ref <= tau1), undetermined otherwise. In
-    the undetermined band a multi-start Newton search may still find a root,
-    reported with uncertified_root=True.
+    converged), necessary-failed (u_ref <= tau1), undetermined otherwise.
+    Below tau_dual*(1 - 1e-9) the dual weights prove that no equilibrium
+    exists, and the note cites that bound; between it and tau2 lies only the
+    certificate tolerance. No root is searched for without a bracket.
 
     A NetworkSpec is prepared first, so certify(spec) is certify(prepare(spec));
     a PreparedGrid goes straight to the per-u_ref stage below.
@@ -508,14 +418,15 @@ def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0) -> ExistenceCertifi
     Y1, P = grid.Y1, grid.P
     zeta = u_ref * np.ones(grid.spec.m)
 
-    def cert(verdict, brk, u, res, uncert=False, note=""):
+    def cert(verdict, brk, u, res, note=""):
         return ExistenceCertificate(
             tau_necessary=grid.tau_necessary, tau_optimized=grid.tau_optimized,
             tau_perron_vector=grid.tau_perron_vector,
-            tau_contraction=grid.tau_contraction,
-            q_weights=grid.q_weights, bracket_low=None if brk is None else brk.low,
-            bracket_high=zeta, verdict=verdict, u_load=u, residual=res,
-            uncertified_root=uncert, note=note)
+            tau_contraction=grid.tau_contraction, tau_dual=grid.tau_dual,
+            q_weights=grid.q_weights, dual_weights=grid.dual_weights,
+            primal_floor=grid.primal_floor,
+            bracket_low=None if brk is None else brk.low,
+            bracket_high=zeta, verdict=verdict, u_load=u, residual=res, note=note)
 
     if np.all(P == 0):  # the thresholds of such a grid are all 0
         return cert("certified-exists", Bracket(low=zeta.copy(), high=zeta), zeta.copy(), 0.0,
@@ -525,18 +436,18 @@ def certify(spec: NetworkSpec | PreparedGrid, seed: int = 0) -> ExistenceCertifi
         return cert("necessary-failed", None, None, None,
                     note="reference voltage at or below the necessary threshold")
 
-    brk = bracket(grid.q_weights, u_ref, grid.A)
-    if brk is not None:
-        try:
-            u, res = fixed_point_solve(u_ref, Y1, P, brk)
-        except NumericalError as exc:
-            return cert("undetermined", brk, None, None, note=f"solver diagnostics: {exc}")
-        return cert("certified-exists", brk, u, res)
+    if u_ref <= grid.tau_dual * (1.0 - _DUAL_MARGIN):
+        return cert("undetermined", None, None, None,
+                    note=f"no equilibrium: reference voltage below the dual bound "
+                         f"{grid.tau_dual:.10g} V")
 
-    root = multistart_newton(u_ref, Y1, P, seed=seed)
-    if root is not None:
-        res = float(np.max(np.abs(_residual(root, Y1, u_ref, P))))
-        return cert("undetermined", None, root, res, uncert=True,
-                    note="solution found without certificate")
-    return cert("undetermined", None, None, None,
-                note="no solution found by multi-start search")
+    brk = bracket(grid.q_weights, u_ref, grid.A)
+    if brk is None:
+        return cert("undetermined", None, None, None,
+                    note=f"reference voltage within the certificate tolerance of the "
+                         f"threshold ({grid.tau_dual:.10g} to {grid.tau_optimized:.10g} V)")
+    try:
+        u, res = fixed_point_solve(u_ref, Y1, P, brk)
+    except NumericalError as exc:
+        return cert("undetermined", brk, None, None, note=f"solver diagnostics: {exc}")
+    return cert("certified-exists", brk, u, res)

@@ -3,8 +3,8 @@ connected grids used by the property suites.
 
 Corpus entries are generated once per session (seeded) and carry the reduced
 matrices and certified equilibria alongside the parsed network so the
-property tests stay cheap. u_ref is drawn a few percent above the achieved sufficient
-threshold, which keeps every generated grid certifiable by construction.
+property tests stay cheap. u_ref is drawn 5-50% above the exact threshold,
+which keeps every generated grid certifiable by construction.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dcgrid.existence import (_perron_on_support, analytic_thresholds, bracket,
-                              fixed_point_solve, load_matrix, optimize_weights)
+                              dual_ascent, f_matrix, fixed_point_solve, load_matrix)
 from dcgrid.linalg import reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
 
@@ -114,7 +114,9 @@ class Case:
         pair = _perron_on_support(A, P)
         tau1 = 2.0 * np.sqrt(pair.chi)
         tau3, tau4 = analytic_thresholds(A, pair)
-        q, tau2 = optimize_weights(A, pair.eta, max_evals=150)
+        _, x, _ = dual_ascent(A)
+        q = 1.0 / x
+        tau2 = float(np.sqrt(f_matrix(A, q).max()))
         u_ref = float(tau2 * rng.uniform(1.05, 1.5))
         doc["control"]["u_ref"] = u_ref
         self.spec = parse_network(doc)

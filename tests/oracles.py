@@ -3,10 +3,12 @@
 `f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `is_m_matrix`
 decides the M-matrix property two independent ways, `solve_qep` gives the
 quadratic-pencil spectrum that the closed-loop Jacobian must reproduce,
-`nelder_mead` and `optimize_weights` are scipy-driven references for
-`dcgrid.existence._nelder_mead` and the weight optimization built on it, and
-`trace_csv` is the row-by-row writer that `SimulationTrace.to_csv` must match
-byte for byte. The package itself uses none of them.
+`optimize_weights` is a scipy-driven Nelder-Mead weight search whose weights
+reproduce the published bracket floor, `threshold_bounds` recomputes both
+bounds of a threshold certificate from A alone, `multistart_newton` searches
+for equilibria with no certificate at all, and `trace_csv` is the
+row-by-row writer that `SimulationTrace.to_csv` must match byte for byte. The
+package itself uses none of them.
 """
 
 import numpy as np
@@ -105,15 +107,12 @@ def solve_qep(M: np.ndarray, D: np.ndarray, S: np.ndarray) -> np.ndarray:
     return lams
 
 
-def nelder_mead(fun, x0, maxfev, xatol, fatol):
-    """scipy's Nelder-Mead with the options `_nelder_mead` takes; returns (x, fun, nfev)."""
-    res = minimize(fun, x0, method="Nelder-Mead",
-                   options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
-    return res.x, res.fun, res.nfev
-
-
 def optimize_weights(A, eta=None, max_evals=2000):
-    """`dcgrid.existence.optimize_weights` as it ran on scipy's `minimize`; (q*, tau2)."""
+    """Nelder-Mead on max_ij f_ij(q) in log coordinates, from q = 1 and eta; (q*, tau2).
+
+    Restarts from the incumbent until max_evals is spent or it stops
+    improving. It stalls above the exact threshold on larger grids.
+    """
     m = A.shape[0]
     best_q = np.ones(m)
     best_val = float(f_matrix(A, best_q).max())
@@ -145,6 +144,59 @@ def optimize_weights(A, eta=None, max_evals=2000):
             prev = res.fun
             z = res.x
     return best_q / best_q.max(), float(np.sqrt(best_val))
+
+
+def threshold_bounds(A, w, x) -> tuple[float, float]:
+    """(lower, upper) bounds on the solvability threshold proved by (w, x).
+
+    Lower: for w >= 0 summing to 1 and any u > 0, AM-GM gives
+    max_i (u + A(1/u))_i >= sum_j w_j u_j + (A'w)_j / u_j >= 2 sum_j sqrt(w_j (A'w)_j),
+    so no equilibrium u = u_ref - A(1/u) exists for u_ref below it.
+    Upper: x > 0 with x + A(1/x) <= tau*1 makes F(x) >= x, so a fixed point
+    exists for every u_ref >= tau = max_i (x + A(1/x))_i.
+    """
+    A = np.asarray(A, dtype=float)
+    w = np.asarray(w, dtype=float)
+    x = np.asarray(x, dtype=float)
+    assert np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12
+    assert np.all(x > 0)
+    lower = 2.0 * float(np.sum(np.sqrt(w * (A.T @ w))))
+    upper = float(np.max(x + A @ (1.0 / x)))
+    return lower, upper
+
+
+def multistart_newton(u_ref, Y1, P, seed=0, starts=17, steps=60):
+    """Componentwise-largest equilibrium a seeded multistart Newton finds, or None.
+
+    Solves u_i (Y1 (u - u_ref 1))_i + P_i = 0 from zeta = u_ref*1, the
+    midline (u_ref/2 + eps)*1 and uniform draws from the box
+    [(u_ref/2)*1, zeta]. A root counts when every voltage is positive and
+    the residual is at most 1e-10*u_ref^2. It proves nothing: it finds
+    roots, or fails to, independently of any threshold or bracket.
+    """
+    Y1 = np.asarray(Y1, dtype=float)
+    P = np.asarray(P, dtype=float)
+    m = Y1.shape[0]
+    rng = np.random.default_rng(seed)
+    points = [u_ref * np.ones(m), (0.5 + 1e-6) * u_ref * np.ones(m)]
+    points += [u_ref * (0.5 + 0.5 * rng.random(m)) for _ in range(starts - 2)]
+    tol = 1e-10 * u_ref * u_ref
+    best = None
+    for u in points:
+        for _ in range(steps + 1):
+            current = Y1 @ (u - u_ref)
+            r = u * current + P
+            if np.all(np.abs(r) <= tol):
+                if best is None or u.sum() > best.sum():
+                    best = u
+                break
+            try:
+                u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y1, r)
+            except np.linalg.LinAlgError:
+                break
+            if np.any(u <= 0):
+                break
+    return best
 
 
 def trace_csv(trace, fh) -> None:

@@ -8,15 +8,15 @@ over a seeded corpus of 1000 random connected grids (see conftest.Case).
 import numpy as np
 import pytest
 
-from dcgrid import (analyze_stability, build_admittance, certify,
+from dcgrid import (analyze_stability, bracket, build_admittance, certify,
                     cpl_linearize, effective_admittance, f_matrix, jacobian,
-                    load_scenario, simulate, solve_load_voltages,
+                    load_scenario, prepare, simulate, solve_load_voltages,
                     sufficient_stability)
 from dcgrid.cli import main
 from dcgrid.existence import _F, _residual
 from conftest import (EXAMPLES, HEAVY, LIGHT, TABLE1, Case, intervals_overlap,
                       multiset_distance, variant)
-from oracles import solve_qep
+from oracles import optimize_weights, solve_qep
 from test_existence import BRACKET_LOW_LIGHT, U_STAR_HEAVY, U_STAR_LIGHT
 from test_linalg import Y1_REFERENCE
 
@@ -36,11 +36,20 @@ def test_light_profile_thresholds(table1_spec):
 
 
 def test_light_profile_equilibrium_and_bracket(table1_spec):
-    cert = certify(table1_spec)
+    grid = prepare(table1_spec)
+    cert = certify(grid)
     assert cert.verdict == "certified-exists"
     assert np.max(np.abs(cert.u_load - U_STAR_LIGHT)) <= 0.05
     assert cert.residual <= 1e-8 * 89.64**2
-    assert np.max(np.abs(cert.bracket_low - BRACKET_LOW_LIGHT)) <= 0.2
+    # the published floor is the bracket at the published (Nelder-Mead) weights
+    q, tau2 = optimize_weights(grid.A, grid.pair.eta)
+    assert cert.tau_optimized <= tau2
+    published = bracket(q, 89.64, grid.A)
+    assert np.max(np.abs(published.low - BRACKET_LOW_LIGHT)) <= 0.2
+    # certify's own floor is a sub-solution below the equilibrium
+    low = cert.bracket_low
+    assert np.all(_F(89.64, grid.A, low) >= low - 1e-9 * 89.64)
+    assert np.all(low <= cert.u_load)
 
 
 def test_heavy_profile_thresholds_and_equilibrium(table1_spec):
@@ -55,10 +64,12 @@ def test_heavy_profile_thresholds_and_equilibrium(table1_spec):
 
 def test_unsolvable_points_have_no_root(table1_spec):
     for u_ref, P in ((89.6, LIGHT), (135.4, HEAVY)):
-        cert = certify(variant(table1_spec, u_ref=u_ref, P=P), seed=0)
+        cert = certify(variant(table1_spec, u_ref=u_ref, P=P))
         assert cert.verdict == "undetermined"
         assert cert.bracket_low is None
         assert cert.u_load is None
+        assert u_ref < cert.tau_dual
+        assert f"dual bound {cert.tau_dual:.10g} V" in cert.note
 
 
 def test_sweep_bisection_localizes_solvability_boundary(table1_spec, tmp_path):

@@ -68,10 +68,17 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_analyze_seed_flag(table1_file):
-    # the undetermined band root search is seeded; both seeds find the root
-    assert main(["analyze", table1_file(u_ref=89.63), "--seed", "0"]) == 2
-    assert main(["analyze", table1_file(u_ref=89.63), "--seed", "7"]) == 2
+def test_analyze_seed_flag(table1_file, tmp_path, capsys):
+    # --seed is accepted and changes nothing: the analysis draws no random
+    # numbers, and 89.63 V lies above tau* = 89.62295 V, so it is certified
+    grid = table1_file(u_ref=89.63)
+    outputs = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"report{seed}.json"
+        assert main(["analyze", grid, "--seed", seed, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_text()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["certificate"]["verdict"] == "certified-exists"
 
 
 def test_usage_errors_exit_64():
@@ -119,6 +126,17 @@ def test_simulate_collapse_exit_code(tmp_path, capsys):
     assert "# terminated collapsed" in out.read_text().splitlines()[-1]
 
 
+def test_simulate_rejected_scenario_keeps_existing_out(tmp_path):
+    # every load at 1 MW: the initial load flow has no solution, exit 64
+    path = _scenario_file(tmp_path, P=1e6)
+    out = tmp_path / "trace.csv"
+    out.write_text("previous trace\n")
+    assert main(["simulate", path, "--out", str(out)]) == 64
+    assert out.read_text() == "previous trace\n"
+    # and the temporary trace beside it is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "trace.csv"]
+
+
 def test_simulate_invalid_scenario(tmp_path):
     doc = json.loads(TABLE1.read_text())  # no scenario block
     path = tmp_path / "plain.json"
@@ -141,6 +159,15 @@ def test_simulate_bad_out_path_fails_before_integrating(bad_out, capsys, monkeyp
     scenario = str(EXAMPLES / "load_step_collapse.json")
     assert main(["simulate", scenario, "--out", bad_out]) == 64
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_directory_out_fails_before_integrating(tmp_path, monkeypatch):
+    def integrate(scenario):
+        raise AssertionError("integrated before checking --out")
+    monkeypatch.setattr(cli, "simulate", integrate)
+    scenario = str(EXAMPLES / "load_step_collapse.json")
+    assert main(["simulate", scenario, "--out", str(tmp_path)]) == 64
+    assert not list(tmp_path.parent.glob(tmp_path.name + ".*"))
 
 
 def test_analyze_bad_out_path(bad_out, capsys):
@@ -270,21 +297,30 @@ from dcgrid.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 loaded = [name for name, mod in sys.modules.items()
           if name.split(".")[0] == "scipy" and mod is not None]
-print(json.dumps({"codes": codes, "scipy": loaded}))
+print(json.dumps({"codes": codes, "scipy": loaded,
+                  "numpy.random": "numpy.random" in sys.modules}))
 """
 
 
 def test_commands_run_without_scipy(tmp_path):
     # the package needs numpy only; a lazy scipy import anywhere on these
     # paths would fail the command instead of loading scipy
+    # nor does it draw random numbers, so numpy.random stays unloaded
+    below = tmp_path / "below.json"
+    doc = json.loads(TABLE1.read_text())
+    doc["control"]["u_ref"] = 89.6
+    below.write_text(json.dumps(doc))
     commands = [
         ["analyze", str(TABLE1)],
+        ["analyze", str(below)],
         ["sweep", str(TABLE1), "--param", "uref", "--min", "89.64", "--max", "91",
          "--points", "3"],
+        ["sweep", str(TABLE1), "--param", "uref", "--min", "88", "--max", "91",
+         "--bisect", "0.01"],
         ["simulate", _scenario_file(tmp_path), "--out", str(tmp_path / "trace.csv")],
     ]
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 2, 0, 0, 0], "scipy": [], "numpy.random": False}

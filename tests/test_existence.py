@@ -1,22 +1,22 @@
-"""Thresholds, weight optimization, the order bracket, and equilibrium solving."""
+"""Thresholds, the threshold certificate, the order bracket, and equilibrium solving."""
 
 import numpy as np
 import pytest
 
 from dcgrid import (DomainError, bracket, build_admittance, certify,
                     f_matrix, fixed_point_solve, load_matrix,
-                    multistart_newton, necessary_threshold, optimize_weights,
-                    reduce_network, single_cpl_check)
-from dcgrid.existence import _perron_on_support, _residual, analytic_thresholds
+                    necessary_threshold, reduce_network, single_cpl_check)
+from dcgrid.existence import _F, _perron_on_support, _residual, analytic_thresholds
 from conftest import HEAVY, LIGHT, variant
-from oracles import f_pair
+from oracles import f_pair, multistart_newton, optimize_weights
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
 BRACKET_LOW_LIGHT = np.array([43.25, 43.18, 46.96, 56.39, 44.03, 51.82])
 U_STAR_HEAVY = np.array([70.16, 65.99, 71.77, 84.23, 65.43, 75.50])
 
-# the optimizer's weights for the light profile, scaled to max 1
+# the published weights for the light profile, scaled to max 1; the paper's
+# floor BRACKET_LOW_LIGHT is the bracket at these weights, not at q = 1/x
 Q_STAR_LIGHT = np.array([0.9984, 1.0, 0.9195, 0.7658, 0.9809, 0.8334])
 
 
@@ -79,7 +79,7 @@ def test_f_pair_rejects_bad_weights(light):
         f_matrix(A, np.zeros(6))
 
 
-def test_optimizer_light_profile(light):
+def test_optimizer_light_profile(light, table1_spec):
     spec, _, A = light
     pair = _perron_on_support(A, LIGHT)
     q, tau2 = optimize_weights(A, pair.eta)
@@ -87,6 +87,8 @@ def test_optimizer_light_profile(light):
     assert 89.2769 <= tau2 <= 89.64
     # lands on the same weights the reference implementation reports
     np.testing.assert_allclose(q, Q_STAR_LIGHT, atol=5e-3)
+    # the exact threshold is no worse than the Nelder-Mead one
+    assert certify(table1_spec).tau_optimized <= tau2
 
 
 def test_analytic_thresholds_light(light):
@@ -98,7 +100,7 @@ def test_analytic_thresholds_light(light):
 
 
 def test_bracket_feasible_at_reference_point(light):
-    _, _, A = light
+    spec, _, A = light
     q, _ = optimize_weights(A, _perron_on_support(A, LIGHT).eta)
     brk = bracket(q, 89.64, A)
     assert brk is not None
@@ -109,6 +111,11 @@ def test_bracket_feasible_at_reference_point(light):
         img = 89.64 - A @ (1.0 / u)
         assert np.all(img >= brk.low - 1e-7)
         assert np.all(img <= brk.high + 1e-12)
+    # certify's own floor, at q = 1/x, is a sub-solution below the equilibrium
+    cert = certify(spec)
+    low = cert.bracket_low
+    assert np.all(_F(89.64, A, low) >= low - 1e-9 * 89.64)
+    assert np.all(low <= cert.u_load)
 
 
 def test_bracket_infeasible_below_threshold(light):
@@ -133,25 +140,38 @@ def test_fixed_point_light_equilibrium(light):
     assert np.all(u <= brk.high + 1e-12)
 
 
+# oracles.multistart_newton searches for roots without any certificate, so
+# it checks certify's verdicts from outside: the equilibrium it reports where
+# a bracket exists, and no root below the dual bound
+
+
 def test_multistart_agrees_with_fixed_point(light):
-    spec, reduced, A = light
+    spec, reduced, _ = light
     root = multistart_newton(89.64, reduced.Y1, LIGHT, seed=0)
     assert root is not None
     assert np.max(np.abs(root - U_STAR_LIGHT)) <= 0.05
+    np.testing.assert_allclose(root, certify(spec).u_load, rtol=0, atol=1e-5)
 
 
 def test_multistart_is_deterministic(light):
-    _, reduced, _ = light
+    spec, reduced, _ = light
     a = multistart_newton(89.63, reduced.Y1, LIGHT, seed=0)
     b = multistart_newton(89.63, reduced.Y1, LIGHT, seed=0)
     assert a is not None and np.array_equal(a, b)
     c = multistart_newton(89.63, reduced.Y1, LIGHT, seed=1)
     assert c is not None  # a different seed may land on the same root
+    # 89.63 V is above tau*: the root is the one certify brackets
+    u_load = certify(variant(spec, u_ref=89.63)).u_load
+    np.testing.assert_allclose(a, u_load, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(c, u_load, rtol=0, atol=1e-5)
 
 
 def test_multistart_finds_nothing_below_solvability(light):
-    _, reduced, _ = light
-    assert multistart_newton(89.6, reduced.Y1, LIGHT, seed=0) is None
+    spec, reduced, _ = light
+    tau_dual = certify(spec).tau_dual
+    for u_ref in (89.6, tau_dual * (1.0 - 1e-6)):
+        assert multistart_newton(u_ref, reduced.Y1, LIGHT, seed=0) is None
+        assert certify(variant(spec, u_ref=u_ref)).verdict == "undetermined"
 
 
 def test_single_cpl_advisory_boundaries(table1_spec, table1_partition):
@@ -166,7 +186,6 @@ def test_single_cpl_advisory_boundaries(table1_spec, table1_partition):
 def test_certify_reference_point(table1_spec):
     cert = certify(table1_spec)
     assert cert.verdict == "certified-exists"
-    assert not cert.uncertified_root
     assert cert.bracket_low is not None
     assert np.max(np.abs(cert.u_load - U_STAR_LIGHT)) <= 0.05
     assert cert.residual <= 1e-8 * 89.64**2
@@ -185,20 +204,22 @@ def test_certify_heavy_profile(table1_spec):
     assert cert.tau_contraction == pytest.approx(140.3918, abs=1e-3)
 
 
-def test_certify_undetermined_band_with_root(table1_spec):
+def test_certify_between_exact_and_nelder_mead_threshold(table1_spec):
+    # 89.63 V lies above tau* = 89.62295 V but below the 89.6335 V that the
+    # Nelder-Mead search used to reach, where no bracket could be built
     cert = certify(variant(table1_spec, u_ref=89.63))
-    assert cert.verdict == "undetermined"
-    assert cert.uncertified_root
-    assert cert.bracket_low is None
-    assert cert.u_load is not None
+    assert cert.tau_dual <= 89.62296 and cert.tau_optimized <= 89.62296
+    assert cert.verdict == "certified-exists"
+    assert cert.bracket_low is not None
+    assert np.all(cert.u_load >= cert.bracket_low)
     assert cert.residual <= 1e-8 * 89.63**2
 
 
 def test_certify_undetermined_band_without_root(table1_spec):
     cert = certify(variant(table1_spec, u_ref=89.6))
     assert cert.verdict == "undetermined"
-    assert not cert.uncertified_root
     assert cert.u_load is None
+    assert "dual bound 89.622950" in cert.note
 
 
 def test_certify_necessary_failure(table1_spec):

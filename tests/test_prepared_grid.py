@@ -12,7 +12,7 @@ import pytest
 
 import dcgrid
 from dcgrid import (DomainError, analyze_stability, build_admittance, certify,
-                    optimize_weights, prepare)
+                    dual_ascent, prepare)
 from dcgrid.cli import main
 from conftest import LIGHT, TABLE1, variant
 
@@ -20,12 +20,12 @@ HEADER = ("param,value,verdict,root_found,tau_necessary,tau_optimized,"
           "tau_perron_vector,tau_contraction,abscissa,stable")
 
 
-def fresh_row(spec, param, value, seed=0):
+def fresh_row(spec, param, value):
     """The sweep row for one point, certified from scratch on the varied spec."""
     point = {"uref": lambda: variant(spec, u_ref=value),
              "b": lambda: variant(spec, b=value),
              "load": lambda: variant(spec, P=value * spec.p_vector())}[param]()
-    cert = certify(point, seed=seed)
+    cert = certify(point)
     abscissa = stable = ""
     if cert.u_load is not None:
         report = analyze_stability(point, cert.u_load)
@@ -87,6 +87,8 @@ def test_load_scaling_reuses_thresholds(table1_spec, tmp_path):
         assert got.tau_contraction == pytest.approx(ref.tau_contraction, rel=1e-9)
         assert got.tau_optimized == np.sqrt(s) * base.tau_optimized
         np.testing.assert_array_equal(got.q_weights, base.q_weights)
+        np.testing.assert_array_equal(got.dual_weights, base.dual_weights)
+        assert got.tau_dual == np.sqrt(s) * base.tau_dual
         assert got.verdict == ref.verdict
         if ref.u_load is not None:
             np.testing.assert_allclose(got.u_load, ref.u_load, rtol=1e-9)
@@ -125,7 +127,7 @@ def count_calls(monkeypatch, original):
     ["--param", "uref", "--min", "88", "--max", "91", "--bisect", "0.01"],
 ])
 def test_one_threshold_optimization_per_sweep(monkeypatch, tmp_path, args):
-    calls = count_calls(monkeypatch, optimize_weights)
+    calls = count_calls(monkeypatch, dual_ascent)
     run_sweep(tmp_path, *args)
     assert len(calls) == 1
 
