@@ -10,8 +10,8 @@ hangs off a single JSON grid document; see `network` for the schema.
 from .errors import DomainError, NumericalError, SpecError
 from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
                         analytic_thresholds, bracket, certify, dual_ascent,
-                        f_matrix, fixed_point_solve, load_matrix,
-                        necessary_threshold, prepare, single_cpl_check)
+                        f_matrix, fixed_point_solve, load_matrix, prepare,
+                        single_cpl_check)
 from .linalg import (PerronPair, ReducedNetwork, min_symmetric_eigenvalue, perron,
                      reduce_network)
 from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
@@ -34,8 +34,7 @@ __all__ = [
     "build_admittance", "certify", "check_connected", "cpl_linearize",
     "dual_ascent", "effective_admittance", "f_matrix", "fixed_point_solve",
     "jacobian", "load_matrix", "load_network",
-    "load_scenario", "min_symmetric_eigenvalue",
-    "necessary_threshold", "parse_network",
+    "load_scenario", "min_symmetric_eigenvalue", "parse_network",
     "parse_scenario", "perron", "prepare", "reduce_network", "simulate",
     "single_cpl_check", "solve_load_voltages", "sufficient_stability",
 ]

@@ -18,8 +18,9 @@ orthant. The analyzer computes
   tau4  sufficient threshold from the infinity-norm contraction bound,
 
 builds the order bracket [h*xi, zeta] on which F maps into itself (so a fixed
-point exists by monotone iteration), and runs that iteration to the
-high-voltage equilibrium.
+point exists, by Tarski), and finds the high-voltage equilibrium with Newton
+from zeta, accepted only inside the bracket and where Y1 - diag(P/u^2) is
+positive definite, which marks the greatest fixed point.
 
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .linalg import PerronPair, _solve_balance, perron, reduce_network
+from .linalg import (PerronPair, _solve_balance, min_symmetric_eigenvalue, perron,
+                     reduce_network)
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
                       build_admittance)
 
@@ -52,7 +54,6 @@ __all__ = [
     "Bracket",
     "PreparedGrid",
     "load_matrix",
-    "necessary_threshold",
     "f_matrix",
     "dual_ascent",
     "analytic_thresholds",
@@ -63,8 +64,7 @@ __all__ = [
     "certify",
 ]
 
-_FIXED_POINT_CAP = 200_000
-_NEWTON_POLISH_STEPS = 20
+_NEWTON_STEPS = 50            # Newton steps from zeta; at most 17 reach the root
 _ASCENT_CAP = 20_000          # dual-ascent iterations; 150-850 reach the gap
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
@@ -211,15 +211,6 @@ def _perron_on_support(A: np.ndarray, P: np.ndarray) -> PerronPair:
     return PerronPair(chi=sub.chi, eta=eta)
 
 
-def necessary_threshold(Y1: np.ndarray, P: np.ndarray) -> float:
-    """tau1 = 2*sqrt(chi): below this reference voltage no equilibrium exists."""
-    P = np.asarray(P, dtype=float)
-    if np.all(P == 0):
-        return 0.0
-    A = load_matrix(Y1, P)
-    return 2.0 * np.sqrt(_perron_on_support(A, P).chi)
-
-
 def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     """All pairwise values f_ij(q) as an mxm symmetric matrix (vectorized)."""
     q = np.asarray(q, dtype=float)
@@ -329,33 +320,27 @@ def _residual(u, Y1, u_ref, P):
 
 def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
                       brk: Bracket) -> tuple[np.ndarray, float]:
-    """Monotone iteration u <- F(u) from zeta, then a Newton polish.
+    """Newton from zeta to the high-voltage equilibrium, checked two ways.
 
-    F is increasing and F(zeta) <= zeta, so the iterates decrease
-    componentwise and stay above the bracket floor; the limit is the greatest
-    fixed point in the bracket, i.e. the high-voltage equilibrium. Newton
-    steps that would leave the bracket are discarded.
+    The bracket proves that a fixed point of F exists; Newton on the power
+    balance finds one. The root must lie in the bracket, and Y1 - diag(P/u^2)
+    must be positive definite, i.e. rho(F'(u)) < 1. F is concave and
+    increasing, so a second fixed point v >= u, v != u, would force
+    rho(F'(u)) >= 1 (Perron-Frobenius); every fixed point lies below zeta, so
+    u is the greatest one, the high-voltage equilibrium. Either check failing
+    raises NumericalError.
     """
     P = np.asarray(P, dtype=float)
-    A = load_matrix(Y1, P)
-    u = brk.high.copy()
-    tol = 1e-10 * u_ref
+    u, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, brk.high,
+                           1e-10 * u_ref * u_ref, _NEWTON_STEPS)
+    if not ok:
+        raise NumericalError("Newton solve from zeta did not converge")
     guard = 1e-7 * u_ref
-    lo, hi = brk.low - guard, brk.high + guard
-    for _ in range(_FIXED_POINT_CAP):
-        nxt = _F(u_ref, A, u)
-        if (nxt < lo).any() or (nxt > hi).any():
-            raise NumericalError("fixed-point iterate left the bracket")
-        if abs(nxt - u).max() <= tol:
-            u = nxt
-            break
-        u = nxt
-    else:
-        raise NumericalError("fixed-point iteration hit the step cap")
-    polished, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, u,
-                                  1e-10 * u_ref * u_ref, _NEWTON_POLISH_STEPS)
-    if ok and (polished >= lo).all() and (polished <= hi).all():
-        u = polished
+    if (u < brk.low - guard).any() or (u > brk.high + guard).any():
+        raise NumericalError("Newton root left the bracket")
+    if min_symmetric_eigenvalue(Y1 - np.diag(P / (u * u))) <= 0:
+        raise NumericalError("Newton root failed the high-voltage check "
+                             "(Y1 - diag(P/u^2) not positive definite)")
     return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
 
 
@@ -404,8 +389,9 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
 def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
     """Full existence analysis of a grid: thresholds, bracket, equilibrium.
 
-    Verdicts: certified-exists (bracket feasible and the monotone solver
-    converged), necessary-failed (u_ref <= tau1), undetermined otherwise.
+    Verdicts: certified-exists (bracket feasible and `fixed_point_solve`
+    found the high-voltage root in it), necessary-failed (u_ref <= tau1),
+    undetermined otherwise.
     Below tau_dual*(1 - 1e-9) the dual weights prove that no equilibrium
     exists, and the note cites that bound; between it and tau2 lies only the
     certificate tolerance. No root is searched for without a bracket.

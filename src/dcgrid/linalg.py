@@ -3,7 +3,7 @@
 These are the shared primitives under both analyzers. Everything operates on
 plain numpy arrays and is pure; inputs are never mutated. `_solve_balance` is
 the one Newton solver for the constant-power balance u_i (c + Y u)_i = -P_i:
-existence polishes and searches equilibria with it, and the simulator pins
+existence finds the high-voltage equilibrium with it, and the simulator pins
 the load voltages with it at every Runge-Kutta stage.
 """
 

@@ -10,8 +10,8 @@ import pytest
 
 from dcgrid import (analyze_stability, bracket, build_admittance, certify,
                     cpl_linearize, effective_admittance, f_matrix, jacobian,
-                    load_scenario, prepare, simulate, solve_load_voltages,
-                    sufficient_stability)
+                    load_scenario, min_symmetric_eigenvalue, prepare, simulate,
+                    solve_load_voltages, sufficient_stability)
 from dcgrid.cli import main
 from dcgrid.existence import _F, _residual
 from conftest import (EXAMPLES, HEAVY, LIGHT, TABLE1, Case, intervals_overlap,
@@ -219,6 +219,8 @@ def test_fixed_point_iterates_monotone_from_above(corpus):
             u = nxt
         else:
             pytest.fail("fixed-point iteration did not converge")
+        # the paper's iteration is the reference for the Newton solve
+        assert np.max(np.abs(nxt - case.u_load)) <= 1e-8 * u_ref
 
 
 def test_equilibria_stay_above_half_reference(corpus):
@@ -328,5 +330,9 @@ def test_small_grids_equilibrium_is_componentwise_largest_root():
         assert roots, "brute force must at least find the certified root"
         best = min(roots, key=lambda r: np.max(np.abs(r - case.u_load)))
         assert np.max(np.abs(best - case.u_load)) <= 1e-6 * u_ref
+        Y1 = case.reduced.Y1
         for r in roots:
             assert np.all(case.u_load >= r - 1e-6 * u_ref)
+            if np.max(np.abs(r - case.u_load)) > 1e-6 * u_ref:
+                # every other root fails fixed_point_solve's high-voltage check
+                assert min_symmetric_eigenvalue(Y1 - np.diag(P / r**2)) <= 0

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, bracket, build_admittance, certify,
-                    f_matrix, fixed_point_solve, load_matrix,
-                    necessary_threshold, reduce_network, single_cpl_check)
+from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
+                    certify, f_matrix, fixed_point_solve, load_matrix,
+                    min_symmetric_eigenvalue, prepare, reduce_network,
+                    single_cpl_check)
 from dcgrid.existence import _F, _perron_on_support, _residual, analytic_thresholds
+from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
 from oracles import f_pair, multistart_newton, optimize_weights
 
@@ -35,10 +37,12 @@ def test_load_matrix_nonnegative_with_zero_columns(table1_reduced):
     assert np.all(A[:, P > 0] > 0)
 
 
-def test_necessary_threshold_values(table1_reduced):
-    assert necessary_threshold(table1_reduced.Y1, LIGHT) == pytest.approx(89.2769, abs=1e-3)
-    assert necessary_threshold(table1_reduced.Y1, HEAVY) == pytest.approx(134.9282, abs=1e-3)
-    assert necessary_threshold(table1_reduced.Y1, np.zeros(6)) == 0.0
+def test_necessary_threshold_values(table1_spec):
+    def tau1(P):
+        return prepare(variant(table1_spec, P=P)).tau_necessary
+    assert tau1(LIGHT) == pytest.approx(89.2769, abs=1e-3)
+    assert tau1(HEAVY) == pytest.approx(134.9282, abs=1e-3)
+    assert tau1(np.zeros(6)) == 0.0
 
 
 def test_perron_extension_to_zero_power_loads(table1_reduced):
@@ -138,6 +142,23 @@ def test_fixed_point_light_equilibrium(light):
     assert res <= 1e-8 * 89.64**2
     assert np.all(u >= brk.low - 1e-7)
     assert np.all(u <= brk.high + 1e-12)
+
+
+def test_fixed_point_rejects_low_voltage_root(light):
+    # a bracket whose top sits just above the low-voltage root lets Newton
+    # reach that root inside the bracket; only the definiteness check sees it
+    spec, reduced, _ = light
+    Y1, u_ref = reduced.Y1, 89.64
+    low_root, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, LIGHT,
+                                  0.4 * u_ref * np.ones(6), 1e-10 * u_ref**2, 50)
+    assert ok
+    high_root = certify(spec).u_load
+    assert np.all(low_root < high_root - 1.0)
+    assert min_symmetric_eigenvalue(Y1 - np.diag(LIGHT / low_root**2)) < -0.01
+    assert min_symmetric_eigenvalue(Y1 - np.diag(LIGHT / high_root**2)) > 0.01
+    brk = Bracket(low=0.5 * low_root, high=low_root + 1e-4)
+    with pytest.raises(NumericalError, match="high-voltage check"):
+        fixed_point_solve(u_ref, Y1, LIGHT, brk)
 
 
 # oracles.multistart_newton searches for roots without any certificate, so

@@ -66,11 +66,12 @@ def test_certificate_on_large_grids(large_grids):
 
 def certify_around_threshold(grid):
     tau = grid.tau_dual
-    above = certify(grid.with_uref((1 + 1e-6) * tau))
-    assert above.verdict == "certified-exists"
-    assert above.bracket_low is not None
-    assert np.all(above.u_load >= above.bracket_low - 1e-7 * tau)
-    assert above.residual <= 1e-8 * ((1 + 1e-6) * tau) ** 2
+    for u_ref in ((1 + 1e-6) * tau, (1 + 1e-10) * tau):
+        above = certify(grid.with_uref(u_ref))
+        assert above.verdict == "certified-exists"
+        assert above.bracket_low is not None
+        assert np.all(above.u_load >= above.bracket_low - 1e-7 * tau)
+        assert above.residual <= 1e-8 * u_ref ** 2
     below = certify(grid.with_uref((1 - 1e-6) * tau))
     assert below.u_load is None and below.bracket_low is None
     if (1 - 1e-6) * tau <= grid.tau_necessary:  # a single load: tau1 = tau*
@@ -85,7 +86,6 @@ def test_verdicts_around_threshold_on_reference_grid(reference_grids):
         certify_around_threshold(grid)
 
 
-@pytest.mark.slow
 def test_verdicts_around_threshold_on_corpus(corpus):
     for case in corpus:
         certify_around_threshold(prepare(case.spec))
