@@ -12,8 +12,7 @@ from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
                         analytic_thresholds, bracket, certify, dual_ascent,
                         f_matrix, fixed_point_solve, load_matrix, prepare,
                         single_cpl_check)
-from .linalg import (PerronPair, ReducedNetwork, min_symmetric_eigenvalue, perron,
-                     reduce_network)
+from .linalg import PerronPair, min_symmetric_eigenvalue, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
                       NetworkSpec, SourceNode, build_admittance,
                       check_connected, load_network, parse_network)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmittancePartition", "Bracket", "ControlParams", "DomainError",
     "Event", "ExistenceCertificate", "Line", "LoadNode", "NetworkSpec",
-    "NumericalError", "PerronPair", "PreparedGrid", "ReducedNetwork", "Scenario",
+    "NumericalError", "PerronPair", "PreparedGrid", "Scenario",
     "SimulationTrace", "SourceNode", "SpecError", "StabilityReport",
     "analytic_thresholds", "analyze_stability", "b_max", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",

@@ -247,10 +247,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_sweep(args)
-    except (SpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except (DomainError, NumericalError) as exc:
+    except (SpecError, OSError, DomainError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
 

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .linalg import (PerronPair, _solve_balance, min_symmetric_eigenvalue, perron,
-                     reduce_network)
+from .linalg import PerronPair, _solve_balance, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
                       build_admittance)
 
@@ -64,7 +63,6 @@ __all__ = [
     "certify",
 ]
 
-_NEWTON_STEPS = 50            # Newton steps from zeta; at most 17 reach the root
 _ASCENT_CAP = 20_000          # dual-ascent iterations; 150-850 reach the gap
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
@@ -331,16 +329,17 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
     raises NumericalError.
     """
     P = np.asarray(P, dtype=float)
-    u, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, brk.high,
-                           1e-10 * u_ref * u_ref, _NEWTON_STEPS)
+    u, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, brk.high, 1e-10 * u_ref * u_ref)
     if not ok:
         raise NumericalError("Newton solve from zeta did not converge")
     guard = 1e-7 * u_ref
     if (u < brk.low - guard).any() or (u > brk.high + guard).any():
         raise NumericalError("Newton root left the bracket")
-    if min_symmetric_eigenvalue(Y1 - np.diag(P / (u * u))) <= 0:
+    try:
+        np.linalg.cholesky(Y1 - np.diag(P / (u * u)))
+    except np.linalg.LinAlgError:
         raise NumericalError("Newton root failed the high-voltage check "
-                             "(Y1 - diag(P/u^2) not positive definite)")
+                             "(Y1 - diag(P/u^2) not positive definite)") from None
     return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
 
 
@@ -365,7 +364,7 @@ def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> b
 def prepare(spec: NetworkSpec) -> PreparedGrid:
     """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, w, x."""
     partition = build_admittance(spec)  # re-asserts connectivity
-    Y1 = reduce_network(partition, spec.k_diag(), spec.control.u_ref).Y1
+    Y1 = reduce_network(partition, spec.k_diag())
     P = spec.p_vector()
     A = load_matrix(Y1, P)
     if np.all(P == 0):

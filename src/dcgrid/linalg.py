@@ -1,10 +1,12 @@
 """Numerical kernels: network reduction, Perron pairs, the power-balance solver.
 
 These are the shared primitives under both analyzers. Everything operates on
-plain numpy arrays and is pure; inputs are never mutated. `_solve_balance` is
-the one Newton solver for the constant-power balance u_i (c + Y u)_i = -P_i:
-existence finds the high-voltage equilibrium with it, and the simulator pins
-the load voltages with it at every Runge-Kutta stage.
+plain numpy arrays and is pure; inputs are never mutated. `reduce_network`
+returns the load-side matrix Y1, which depends on the line conductances and
+the droop gains only. `_solve_balance` is the one Newton solver for the
+constant-power balance u_i (c + Y u)_i = -P_i: existence finds the
+high-voltage equilibrium with it, and the simulator pins the load voltages
+with it at every Runge-Kutta stage.
 """
 
 from __future__ import annotations
@@ -17,29 +19,13 @@ from .errors import DomainError, NumericalError
 from .network import AdmittancePartition
 
 __all__ = [
-    "ReducedNetwork",
     "PerronPair",
     "reduce_network",
     "perron",
     "min_symmetric_eigenvalue",
 ]
 
-@dataclass(frozen=True)
-class ReducedNetwork:
-    """Load-side reduction of the grid with sources eliminated through their droop.
-
-    Y1 is the mxm Schur complement seen by the loads, beta the source-injection
-    current term, and zeta = -Y1^-1 beta the open-circuit load voltages. For a
-    connected grid zeta equals u_ref*1 identically.
-    """
-
-    Y1: np.ndarray     # mxm, siemens
-    beta: np.ndarray   # m, amperes (nonpositive)
-    zeta: np.ndarray   # m, volts
-
-    def __post_init__(self):
-        for arr in (self.Y1, self.beta, self.zeta):
-            arr.setflags(write=False)
+_NEWTON_STEPS = 50   # Newton steps per balance solve; existence needs at most 17
 
 
 @dataclass(frozen=True)
@@ -61,12 +47,12 @@ def _symmetrize(A, what):
     return 0.5 * (A + A.T)
 
 
-def reduce_network(partition: AdmittancePartition, k: np.ndarray, u_ref: float) -> ReducedNetwork:
-    """Eliminate the source nodes through their virtual resistances.
+def reduce_network(partition: AdmittancePartition, k: np.ndarray) -> np.ndarray:
+    """Y1 = Y_LL - Y_LS (Y_SS + K^-1)^-1 Y_SL: the sources eliminated through their droop.
 
-    Y1 = Y_LL - Y_LS (Y_SS + K^-1)^-1 Y_SL and
-    beta = Y_LS (I + K Y_SS)^-1 (u_ref*1), chosen so the load-side power
-    balance reads U_L (beta + Y1 u_L) = -P and zeta = -Y1^-1 beta = u_ref*1.
+    Behind their virtual resistances the sources inject -u_ref*Y1*1 into the
+    load side, so the load power balance reads U_L (Y1 (u_L - u_ref*1)) = -P
+    and the open-circuit load voltage is zeta = u_ref*1 on a connected grid.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
@@ -77,13 +63,9 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray, u_ref: float) 
     inner = partition.Y_SS + np.diag(1.0 / k)
     try:
         Y1 = partition.Y_LL - partition.Y_LS @ np.linalg.solve(inner, partition.Y_SL)
-        beta = partition.Y_LS @ np.linalg.solve(
-            np.eye(n) + np.diag(k) @ partition.Y_SS, u_ref * np.ones(n))
-        zeta = -np.linalg.solve(Y1, beta)
     except np.linalg.LinAlgError as exc:  # cannot happen for a valid partition
         raise NumericalError(f"reduction failed: {exc}") from exc
-    Y1 = _symmetrize(Y1, "reduced matrix")
-    return ReducedNetwork(Y1=Y1, beta=beta, zeta=zeta)
+    return _symmetrize(Y1, "reduced matrix")
 
 
 def perron(A: np.ndarray) -> PerronPair:
@@ -118,22 +100,22 @@ def min_symmetric_eigenvalue(A: np.ndarray) -> float:
 
 
 def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
-                   tol: float | np.ndarray, steps: int) -> tuple[np.ndarray, bool]:
+                   tol: float | np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
 
     Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
     at most tol (a scalar or one bound per load), checked before each of at
-    most `steps` Newton steps and once after the last. An iterate that leaves
-    the positive orthant or a singular Jacobian ends the solve unconverged:
-    the balance has no physical root near u0.
+    most _NEWTON_STEPS Newton steps and once after the last. An iterate that
+    leaves the positive orthant or a singular Jacobian ends the solve
+    unconverged: the balance has no physical root near u0.
     """
     u = np.array(u0, dtype=float)
-    for step in range(steps + 1):
+    for step in range(_NEWTON_STEPS + 1):
         current = c + Y @ u
         r = u * current + P
         if (np.abs(r) <= tol).all():
             return u, True
-        if step == steps:
+        if step == _NEWTON_STEPS:
             break
         try:
             u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)

@@ -21,7 +21,10 @@ k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
 the virtual inductor remains.
 
 Collapse is detected by load-flow Newton failure (the power balance lost its
-real root near the previous solution) or any load voltage at or below 1 V.
+real root near the previous solution) or any load voltage at or below 1 V,
+and is reported at the last time every load was balanced above that floor:
+the start of the step whose stage or end-of-step flow failed, or the event
+time when re-pinning the loads after an event fails.
 
 Scenario files extend the grid document with::
 
@@ -57,7 +60,6 @@ __all__ = [
 _DEFAULT_DT = 1e-6
 _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
-_LOAD_NEWTON_CAP = 50
 _CSV_BLOCK = 1024              # trace rows formatted per write
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
@@ -217,7 +219,7 @@ def _load_flow(u_S, P, tol, partition, warm):
     c = partition.Y_LS @ u_S
     if tol is None:
         return np.linalg.solve(partition.Y_LL, -c), True
-    return _solve_balance(c, partition.Y_LL, P, warm, tol, _LOAD_NEWTON_CAP)
+    return _solve_balance(c, partition.Y_LL, P, warm, tol)
 
 
 def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
@@ -374,11 +376,11 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
                 dx_sum = dx_sum + weight * dx
             x = x + (h / 6.0) * dx_sum
             u_next, ok = _load_flow(x[n:], phase.P, phase.tol, partition, warm)
-            t += h
-            steps += 1
             if not ok or (u_next <= _COLLAPSE_FLOOR).any():
                 node = load_ids[int(np.argmin(u_next if ok else warm))]
                 return finish("collapsed", t, node)
+            t += h
+            steps += 1
             u_L = u_next
             if steps % decimation == 0:
                 record(t)

@@ -10,6 +10,7 @@ which keeps every generated grid certifiable by construction.
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dcgrid.existence import (_perron_on_support, analytic_thresholds, bracket,
                               dual_ascent, f_matrix, fixed_point_solve, load_matrix)
 from dcgrid.linalg import reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
+from oracles import open_circuit
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 TABLE1 = EXAMPLES / "paper_table1.json"
@@ -58,10 +60,17 @@ def table1_partition(table1_spec):
     return build_admittance(table1_spec)
 
 
+def reduction(partition, Y1, k, u_ref):
+    """Y1 from the package beside the oracle's beta and zeta at u_ref."""
+    beta, zeta = open_circuit(partition, k, u_ref)
+    return SimpleNamespace(Y1=Y1, beta=beta, zeta=zeta)
+
+
 @pytest.fixture(scope="session")
 def table1_reduced(table1_spec, table1_partition):
-    return reduce_network(table1_partition, table1_spec.k_diag(),
-                          table1_spec.control.u_ref)
+    k = table1_spec.k_diag()
+    return reduction(table1_partition, reduce_network(table1_partition, k), k,
+                     table1_spec.control.u_ref)
 
 
 def random_grid_document(rng, n_max=4, m_max=6, m=None):
@@ -108,9 +117,9 @@ class Case:
         doc = random_grid_document(rng, n_max=n_max, m_max=m_max)
         spec = parse_network(doc)
         partition = build_admittance(spec)
-        reduced = reduce_network(partition, spec.k_diag(), 1.0)
+        Y1 = reduce_network(partition, spec.k_diag())
         P = spec.p_vector()
-        A = load_matrix(reduced.Y1, P)
+        A = load_matrix(Y1, P)
         pair = _perron_on_support(A, P)
         tau1 = 2.0 * np.sqrt(pair.chi)
         tau3, tau4 = analytic_thresholds(A, pair)
@@ -121,15 +130,14 @@ class Case:
         doc["control"]["u_ref"] = u_ref
         self.spec = parse_network(doc)
         self.partition = partition
-        self.reduced = reduce_network(partition, spec.k_diag(), u_ref)
+        self.reduced = reduction(partition, Y1, spec.k_diag(), u_ref)
         self.A = A
         self.pair = pair
         self.taus = (tau1, tau2, tau3, tau4)
         self.q = q
         self.bracket = bracket(q, u_ref, A)
         assert self.bracket is not None, "generator margin guarantees feasibility"
-        self.u_load, self.residual = fixed_point_solve(
-            u_ref, self.reduced.Y1, P, self.bracket)
+        self.u_load, self.residual = fixed_point_solve(u_ref, Y1, P, self.bracket)
 
 
 @pytest.fixture(scope="session")

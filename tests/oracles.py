@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the package against.
 
-`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `is_m_matrix`
-decides the M-matrix property two independent ways, `solve_qep` gives the
-quadratic-pencil spectrum that the closed-loop Jacobian must reproduce,
+`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `open_circuit`
+gives the source injection and the open-circuit voltage of the reduction,
+`is_m_matrix` decides the M-matrix property two independent ways, `solve_qep`
+gives the quadratic-pencil spectrum that the closed-loop Jacobian must reproduce,
 `optimize_weights` is a scipy-driven Nelder-Mead weight search whose weights
 reproduce the published bracket floor, `threshold_bounds` recomputes both
 bounds of a threshold certificate from A alone, `multistart_newton` searches
@@ -39,6 +40,23 @@ def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
     if bij + bji <= 2.0 * peak:
         return 4.0 * peak
     return (bij - bji) ** 2 / (bij + bji - si - sj)
+
+
+def open_circuit(partition, k, u_ref) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, zeta): source injection into the load side and open-circuit load voltage.
+
+    With G = (I + K Y_SS)^-1 the sources behind their virtual resistances
+    inject beta = Y_LS G (u_ref*1), and the reduced matrix is
+    Y1 = Y_LL - Y_LS G K Y_SL (push-through form of the package's Schur
+    complement), so the balance reads U_L (beta + Y1 u_L) = -P and
+    zeta = -Y1^-1 beta, which equals u_ref*1 on a connected grid.
+    """
+    K = np.diag(np.asarray(k, dtype=float))
+    n = K.shape[0]
+    G = np.linalg.inv(np.eye(n) + K @ partition.Y_SS)
+    beta = partition.Y_LS @ G @ (u_ref * np.ones(n))
+    Y1 = partition.Y_LL - partition.Y_LS @ G @ K @ partition.Y_SL
+    return beta, -np.linalg.solve(Y1, beta)
 
 
 def is_m_matrix(A: np.ndarray) -> bool:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcgrid import build_admittance, certify, solve_load_voltages
+from dcgrid import build_admittance, certify, linalg, solve_load_voltages
 from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
 
@@ -11,9 +11,9 @@ G, V = 2.0, 100.0           # one load fed through one line of conductance G fro
 P_MAX = G * V * V / 4.0     # largest power the line can transfer
 
 
-def _one_line(p, u0=V, steps=50):
+def _one_line(p, u0=V):
     return _solve_balance(np.array([-G * V]), np.array([[G]]), np.array([p]),
-                          np.array([u0]), 1e-9 * max(p, 1.0), steps)
+                          np.array([u0]), 1e-9 * max(p, 1.0))
 
 
 @pytest.mark.parametrize("frac", [0.0, 0.1, 0.5, 0.9, 0.99])
@@ -33,11 +33,13 @@ def test_one_line_above_max_power_does_not_converge(frac):
     assert not ok
 
 
-def test_iterate_checked_after_last_step():
+def test_iterate_checked_after_last_step(monkeypatch):
     root = 0.5 * (V + np.sqrt(V * V - 2.0 * P_MAX / G))
-    assert _one_line(0.5 * P_MAX, u0=root, steps=0)[1]
-    assert not _one_line(0.5 * P_MAX, u0=V, steps=0)[1]
-    assert _one_line(0.5 * P_MAX, u0=V, steps=8)[1]
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 0)
+    assert _one_line(0.5 * P_MAX, u0=root)[1]
+    assert not _one_line(0.5 * P_MAX, u0=V)[1]
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 8)
+    assert _one_line(0.5 * P_MAX, u0=V)[1]
 
 
 @pytest.mark.parametrize("u_ref,P", [(89.64, LIGHT), (135.51, HEAVY)])

@@ -16,7 +16,7 @@ from oracles import is_m_matrix
 
 _SPEC = load_network(TABLE1)
 _A = load_matrix(
-    reduce_network(build_admittance(_SPEC), _SPEC.k_diag(), 89.64).Y1,
+    reduce_network(build_admittance(_SPEC), _SPEC.k_diag()),
     _SPEC.p_vector())
 
 

@@ -212,6 +212,21 @@ def test_trace_csv_collapse_comment():
     assert "# terminated collapsed" in buf.getvalue().splitlines()[-1]
 
 
+def test_collapse_reported_at_last_balanced_sample():
+    # at this coarser step the 2% heavier load step is caught by the
+    # end-of-step load flow, not a stage flow; either way the collapse time is
+    # the last time every load was balanced, which is the last sample
+    with open(EXAMPLES / "load_step_collapse.json") as fh:
+        doc = json.load(fh)
+    doc["scenario"]["dt"] = 2e-4
+    for ev in doc["scenario"]["events"]:
+        if ev["action"] == "set-loads":
+            ev["P"] = [1.02 * p for p in ev["P"]]
+    trace = simulate(parse_scenario(doc), decimation=1)
+    assert trace.termination == "collapsed"
+    assert trace.collapse_time == trace.t[-1]
+
+
 def test_infeasible_initial_state_rejected():
     # demanding more than the line can deliver leaves the DAE uninitializable
     with pytest.raises(SpecError):
