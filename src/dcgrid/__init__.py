@@ -10,8 +10,7 @@ hangs off a single JSON grid document; see `network` for the schema.
 from .errors import DomainError, NumericalError, SpecError
 from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
                         analytic_thresholds, bracket, certify, dual_ascent,
-                        f_matrix, fixed_point_solve, load_matrix, prepare,
-                        single_cpl_check)
+                        f_matrix, fixed_point_solve, load_matrix, prepare)
 from .linalg import PerronPair, min_symmetric_eigenvalue, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
                       NetworkSpec, SourceNode, build_admittance,
@@ -35,5 +34,5 @@ __all__ = [
     "jacobian", "load_matrix", "load_network",
     "load_scenario", "min_symmetric_eigenvalue", "parse_network",
     "parse_scenario", "perron", "prepare", "reduce_network", "simulate",
-    "single_cpl_check", "solve_load_voltages", "sufficient_stability",
+    "solve_load_voltages", "sufficient_stability",
 ]

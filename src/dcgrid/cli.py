@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import certify, prepare, single_cpl_check
+from .existence import certify, prepare
 from .network import load_network
 from .simulate import load_scenario, simulate
 from .stability import analyze_stability
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _analysis_record(spec, path):
     grid = prepare(spec)
     cert = certify(grid)
-    advisory = single_cpl_check(grid.partition, spec.k_diag(), spec.control.u_ref, grid.P)
     report = None
     if cert.u_load is not None:
         report = analyze_stability(grid, cert.u_load)
@@ -82,7 +81,6 @@ def _analysis_record(spec, path):
         "loads": spec.m,
         "u_ref": spec.control.u_ref,
         "b": spec.control.b,
-        "single_cpl_advisory": bool(advisory),
         "certificate": cert.to_dict(),
         "stability": None if report is None else report.to_dict(),
         "exit_code": code,
@@ -112,7 +110,6 @@ def _render(record) -> str:
         lines.append(f"residual: {cert['residual']:.3e}")
     if cert["note"]:
         lines.append(f"note: {cert['note']}")
-    lines.append(f"single-CPL advisory check: {record['single_cpl_advisory']}")
     st = record["stability"]
     if st is not None:
         b0 = "inf" if st["b0"] is None else f"{st['b0']:.6g}"
@@ -182,6 +179,8 @@ def cmd_sweep(args) -> int:
         raise SpecError("one point needs --min equal to --max", field="--points")
     if args.bisect is not None and args.bisect <= 0:
         raise SpecError("tolerance must be positive", field="--bisect")
+    if args.param == "b" and args.vmin <= 0:
+        raise SpecError("b must be positive", field="--min")
     if args.bisect is not None and args.param != "uref":
         raise SpecError("bisection applies to uref sweeps only", field="--bisect")
 

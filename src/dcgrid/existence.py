@@ -9,7 +9,8 @@ equation u = F(u) = u_ref*1 - A g(u) with A = Y1^-1 diag(P) entrywise
 nonnegative and g(u) = 1/u componentwise, so F is increasing on the positive
 orthant. The analyzer computes
 
-  tau1  necessary threshold 2*sqrt(chi), chi the Perron root of A,
+  tau1  necessary threshold 2*sqrt(chi), chi the Perron root of A (see
+        `linalg.perron`), equal to the AM-GM dual bound below at w = P*eta,
   tau2  best sufficient threshold sqrt(min_q max_ij f_ij(q)) over positive
         weight vectors q (pairwise interval-overlap conditions), evaluated at
         q = 1/x for the minimizer x of the geometric program
@@ -58,7 +59,6 @@ __all__ = [
     "analytic_thresholds",
     "bracket",
     "fixed_point_solve",
-    "single_cpl_check",
     "prepare",
     "certify",
 ]
@@ -151,7 +151,9 @@ class PreparedGrid:
             arr.setflags(write=False)
 
     def with_uref(self, u_ref: float) -> PreparedGrid:
-        """The same grid at another reference voltage (Y1 does not depend on it)."""
+        """The same grid at another reference voltage u_ref > 0 (Y1 does not depend on it)."""
+        if u_ref <= 0:
+            raise DomainError("reference voltage must be positive")
         control = ControlParams(u_ref=u_ref, b=self.spec.control.b)
         return dataclasses.replace(self, spec=dataclasses.replace(self.spec, control=control))
 
@@ -184,29 +186,6 @@ class PreparedGrid:
 def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:
     """A = Y1^-1 diag(P), the entrywise-nonnegative matrix driving everything."""
     return np.linalg.solve(Y1, np.diag(np.asarray(P, dtype=float)))
-
-
-def _perron_on_support(A: np.ndarray, P: np.ndarray) -> PerronPair:
-    """Perron pair of A restricted to loads with P > 0, extended to full length.
-
-    Columns of A vanish where P_i = 0, so the spectral radius lives on the
-    support block, which is entrywise positive. The eigenvector extends by
-    eta_i = (A eta)_i / chi, which keeps A eta = chi eta exact and positive.
-    """
-    P = np.asarray(P, dtype=float)
-    support = np.flatnonzero(P > 0)
-    if support.size == 0:
-        raise DomainError("all loads are zero; no Perron pair")
-    sub = perron(A[np.ix_(support, support)])
-    m = A.shape[0]
-    if support.size == m:
-        return sub
-    eta = np.empty(m)
-    eta[support] = sub.eta
-    rest = np.setdiff1d(np.arange(m), support)
-    eta[rest] = (A[np.ix_(rest, support)] @ sub.eta) / sub.chi
-    eta = eta / np.linalg.norm(eta)
-    return PerronPair(chi=sub.chi, eta=eta)
 
 
 def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -343,24 +322,6 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
     return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
 
 
-def single_cpl_check(partition, k: np.ndarray, u_ref: float, P: np.ndarray) -> bool:
-    """Zero-bus-resistance advisory check: lump all loads into one CPL.
-
-    Aggregates the sources into a single conductance G = 1' (Y_SS^-1 + K)^-1 1
-    (each source reaches the common bus through its droop in series) and tests
-    the scalar discriminant (u_ref*G)^2 >= 4*G*sum(P). Optimistic in general,
-    exact for one load on one source; advisory only, never a certificate.
-    """
-    k = np.asarray(k, dtype=float)
-    P = np.asarray(P, dtype=float)
-    n = partition.Y_SS.shape[0]
-    # (Y_SS^-1 + K)^-1 1 == (I + Y_SS K)^-1 Y_SS 1, via push-through
-    x = np.linalg.solve(np.eye(n) + partition.Y_SS @ np.diag(k),
-                        partition.Y_SS @ np.ones(n))
-    G = float(np.sum(x))
-    return (u_ref * G) ** 2 >= 4.0 * G * float(np.sum(P))
-
-
 def prepare(spec: NetworkSpec) -> PreparedGrid:
     """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, w, x."""
     partition = build_admittance(spec)  # re-asserts connectivity
@@ -373,13 +334,17 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
             tau_necessary=0.0, tau_optimized=0.0, tau_perron_vector=0.0,
             tau_contraction=0.0, tau_dual=0.0, q_weights=np.ones(spec.m),
             dual_weights=np.full(spec.m, 1.0 / spec.m), primal_floor=np.zeros(spec.m))
-    pair = _perron_on_support(A, P)
+    pair = perron(Y1, P)
+    # tau1 = 2 sqrt(chi) as the dual bound at w = psi, the left Perron vector
+    # P*eta summing to 1: evaluated on A itself it equals tau_dual bit for bit
+    # on a grid with one loaded node, where tau1 = tau* exactly
+    psi = P * pair.eta / np.dot(P, pair.eta)
     tau3, tau4 = analytic_thresholds(A, pair)
     w, x, tau_dual = dual_ascent(A)
     q = 1.0 / x
     return PreparedGrid(
         spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
-        tau_necessary=float(2.0 * np.sqrt(pair.chi)),
+        tau_necessary=2.0 * float(np.sum(np.sqrt(psi * (A.T @ psi)))),
         tau_optimized=float(np.sqrt(f_matrix(A, q).max())),
         tau_perron_vector=tau3, tau_contraction=tau4, tau_dual=tau_dual,
         q_weights=q / q.max(), dual_weights=w, primal_floor=x)

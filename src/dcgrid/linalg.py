@@ -1,4 +1,4 @@
-"""Numerical kernels: network reduction, Perron pairs, the power-balance solver.
+"""Numerical kernels: network reduction, the Perron pair, the power-balance solver.
 
 These are the shared primitives under both analyzers. Everything operates on
 plain numpy arrays and is pure; inputs are never mutated. `reduce_network`
@@ -68,29 +68,31 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray) -> np.ndarray:
     return _symmetrize(Y1, "reduced matrix")
 
 
-def perron(A: np.ndarray) -> PerronPair:
-    """Perron root and unit Perron vector of an entrywise-positive matrix.
+def perron(Y1: np.ndarray, P: np.ndarray) -> PerronPair:
+    """Perron root and unit Perron vector of A = Y1^-1 diag(P), from a symmetric solve.
 
-    Dense eigen-solve: for a positive matrix the eigenvalue of largest real
-    part is the simple, real Perron root and its eigenvector has one sign, so
-    no iteration can stall when the two largest eigenvalues nearly coincide.
-    The pair is residual-checked before it is returned.
+    A is diagonally similar to S = diag(sqrt P) Y1^-1 diag(sqrt P), so chi is
+    the largest eigenvalue of S and, with Z = Y1^-1 diag(sqrt P) and S y =
+    chi y, eta = Z y / chi satisfies A eta = Z S y / chi = chi eta. Y1^-1 is
+    entrywise positive and Z has exact zero columns where P_i = 0, so eta is
+    positive on every load, zero-power ones included. The pair is
+    residual-checked before it is returned.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DomainError("expected a square matrix")
-    if np.any(A <= 0):
-        raise DomainError("matrix must be entrywise positive")
-    vals, vecs = np.linalg.eig(A)
-    top = int(np.argmax(vals.real))
-    chi = float(vals[top].real)
-    x = np.abs(vecs[:, top].real)  # one sign in exact arithmetic
-    x = x / np.linalg.norm(x)
-    residual = np.linalg.norm(A @ x - chi * x)
-    if not np.all(x > 0) or residual > 1e-10 * chi:
+    P = np.asarray(P, dtype=float)
+    if P.shape != (Y1.shape[0],) or np.any(P < 0) or not np.any(P > 0):
+        raise DomainError("expected one nonnegative power per load, not all zero")
+    root = np.sqrt(P)
+    Z = np.linalg.solve(Y1, np.diag(root))
+    vals, vecs = np.linalg.eigh(_symmetrize(root[:, None] * Z, "symmetrized load matrix"))
+    chi = float(vals[-1])
+    y = vecs[:, -1]
+    eta = Z @ (y if y.sum() > 0 else -y)
+    eta = eta / np.linalg.norm(eta)
+    residual = np.linalg.norm(Z @ (root * eta) - chi * eta)  # A eta = Z diag(sqrt P) eta
+    if not np.all(eta > 0) or not residual <= 1e-10 * chi:
         raise NumericalError(f"Perron pair failed its check (residual {residual:.3e}, "
-                             f"smallest entry {x.min():.3e})")
-    return PerronPair(chi=chi, eta=x)
+                             f"smallest entry {eta.min():.3e})")
+    return PerronPair(chi=chi, eta=eta)
 
 
 def min_symmetric_eigenvalue(A: np.ndarray) -> float:

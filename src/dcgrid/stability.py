@@ -13,8 +13,8 @@ inductance X = b*K) is
 
 The Hurwitz verdict comes from the spectral abscissa of J2. A separate
 conservative certificate checks the two positive-definiteness conditions
-C + b*Y_eq > 0 and K^-1 + b*Y_eq > 0, and b_max computes the largest damping
-coefficient those conditions admit via eigenvalue bounds.
+C + b*Y_eq > 0 and K^-1 + b*Y_eq > 0, and b_max gives the closed-form b0 below
+which both hold, a lower bound on the largest b they admit.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class StabilityReport:
     spectrum: np.ndarray        # 2n eigenvalues of J2
     abscissa: float             # max real part of the spectrum
     sufficient_holds: bool      # conservative positive-definiteness certificate
-    b0: float                   # largest b the certificate admits (inf if lambda1 >= 0)
+    b0: float                   # the certificate holds for b <= b0 (inf if lambda1 >= 0)
     b: float                    # damping coefficient the report was evaluated at
     verdict: str                # stable | unstable
 
@@ -135,10 +135,13 @@ def sufficient_stability(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray, b: floa
 
 
 def b_max(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray) -> float:
-    """Largest damping coefficient the sufficient conditions certify.
+    """Damping coefficient b0 up to which the sufficient conditions hold.
 
     b0 = min(-C_min/lambda1, -1/(lambda1*k_max)) when lambda1(Y_eq) < 0;
     +inf when Y_eq is positive semidefinite (no CPL destabilization at any b).
+    Bounding C by C_min and K^-1 by 1/k_max makes b0 a lower bound on the
+    largest b the conditions admit, not that b itself: on the reference grid
+    they still hold at 1.05*b0.
     """
     C = np.asarray(C, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -153,8 +156,8 @@ def analyze_stability(spec: NetworkSpec | PreparedGrid, u_load: np.ndarray,
     """Linearize the grid at an equilibrium and assemble the full report.
 
     The Hurwitz verdict uses the spectral abscissa of J2 with a 1e-9 margin;
-    the positive-definiteness certificate and its b ceiling are reported
-    alongside so the conservatism of the certificate stays visible. A
+    the positive-definiteness certificate and its closed-form bound b0 are
+    reported alongside so the conservatism of the certificate stays visible. A
     PreparedGrid lends its admittance instead of having it rebuilt.
     """
     if isinstance(spec, NetworkSpec):

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from dcgrid.existence import (_perron_on_support, analytic_thresholds, bracket,
-                              dual_ascent, f_matrix, fixed_point_solve, load_matrix)
-from dcgrid.linalg import reduce_network
+from dcgrid.existence import (analytic_thresholds, bracket, dual_ascent, f_matrix,
+                              fixed_point_solve, load_matrix)
+from dcgrid.linalg import perron, reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
 from oracles import open_circuit
 
@@ -120,7 +120,7 @@ class Case:
         Y1 = reduce_network(partition, spec.k_diag())
         P = spec.p_vector()
         A = load_matrix(Y1, P)
-        pair = _perron_on_support(A, P)
+        pair = perron(Y1, P)
         tau1 = 2.0 * np.sqrt(pair.chi)
         tau3, tau4 = analytic_thresholds(A, pair)
         _, x, _ = dual_ascent(A)

@@ -1,14 +1,16 @@
 """Reference implementations the tests compare the package against.
 
-`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `open_circuit`
-gives the source injection and the open-circuit voltage of the reduction,
-`is_m_matrix` decides the M-matrix property two independent ways, `solve_qep`
-gives the quadratic-pencil spectrum that the closed-loop Jacobian must reproduce,
-`optimize_weights` is a scipy-driven Nelder-Mead weight search whose weights
-reproduce the published bracket floor, `threshold_bounds` recomputes both
-bounds of a threshold certificate from A alone, `multistart_newton` searches
-for equilibria with no certificate at all, and `trace_csv` is the
-row-by-row writer that `SimulationTrace.to_csv` must match byte for byte. The
+`f_pair` is the scalar form of `dcgrid.existence.f_matrix`,
+`perron_on_support` is the general-matrix eigen-solve that `dcgrid.perron`
+must agree with, `open_circuit` gives the source injection and the
+open-circuit voltage of the reduction, `is_m_matrix` decides the M-matrix
+property two independent ways, `solve_qep` gives the quadratic-pencil
+spectrum that the closed-loop Jacobian must reproduce, `optimize_weights` is
+a scipy-driven Nelder-Mead weight search whose weights reproduce the
+published bracket floor, `threshold_bounds` recomputes both bounds of a
+threshold certificate from A alone, `multistart_newton` searches for
+equilibria with no certificate at all, and `trace_csv` is the row-by-row
+writer that `SimulationTrace.to_csv` must match byte for byte. The
 package itself uses none of them.
 """
 
@@ -123,6 +125,26 @@ def solve_qep(M: np.ndarray, D: np.ndarray, S: np.ndarray) -> np.ndarray:
             raise NumericalError(
                 f"QEP eigenpair residual {res:.3e} exceeds tolerance at lambda={lam:.6g}")
     return lams
+
+
+def perron_on_support(A, P):
+    """Perron pair of A = Y1^-1 diag(P) by a general eigen-solve; (chi, eta).
+
+    Columns of A vanish where P_i = 0, so the spectral radius lives on the
+    support block, which is entrywise positive: `np.linalg.eig` there gives
+    the root of largest real part and a one-signed eigenvector, which
+    extends to the other loads by eta_i = (A eta)_i / chi.
+    """
+    A = np.asarray(A, dtype=float)
+    support = np.flatnonzero(np.asarray(P) > 0)
+    vals, vecs = np.linalg.eig(A[np.ix_(support, support)])
+    top = int(np.argmax(vals.real))
+    chi = float(vals[top].real)
+    eta = np.empty(A.shape[0])
+    eta[support] = np.abs(vecs[:, top].real)
+    rest = np.setdiff1d(np.arange(A.shape[0]), support)
+    eta[rest] = (A[np.ix_(rest, support)] @ eta[support]) / chi
+    return chi, eta / np.linalg.norm(eta)
 
 
 def optimize_weights(A, eta=None, max_evals=2000):

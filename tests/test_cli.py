@@ -269,13 +269,18 @@ def test_sweep_single_point_range(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["--min", "2", "--max", "1", "--points", "2"],
-    ["--min", "1", "--max", "2", "--points", "0"],
-    ["--min", "1", "--max", "2", "--bisect", "-0.1"],
-    ["--min", "88", "--max", "91", "--points", "1"],  # one point cannot span a range
+    ["--param", "uref", "--min", "2", "--max", "1", "--points", "2"],
+    ["--param", "uref", "--min", "1", "--max", "2", "--points", "0"],
+    ["--param", "uref", "--min", "1", "--max", "2", "--bisect", "-0.1"],
+    ["--param", "uref", "--min", "88", "--max", "91", "--points", "1"],  # one point over a range
+    ["--param", "uref", "--min", "-10", "--max", "91", "--points", "3"],  # u_ref <= 0
+    ["--param", "b", "--min", "0", "--max", "1e-3", "--points", "2"],  # b <= 0
 ])
-def test_sweep_rejects_bad_requests(args):
-    assert main(["sweep", str(TABLE1), "--param", "uref"] + args) == 64
+def test_sweep_rejects_bad_requests(args, table1_file, capsys):
+    # at 80 V no point reaches the stability analysis, which rejects b <= 0 itself
+    for u_ref in (89.64, 80.0):
+        assert main(["sweep", table1_file(u_ref=u_ref)] + args) == 64
+        assert capsys.readouterr().out == ""
 
 
 def test_sweep_bisect_limited_to_uref():

@@ -5,9 +5,8 @@ import pytest
 
 from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
                     certify, f_matrix, fixed_point_solve, load_matrix,
-                    min_symmetric_eigenvalue, prepare, reduce_network,
-                    single_cpl_check)
-from dcgrid.existence import _F, _perron_on_support, _residual, analytic_thresholds
+                    min_symmetric_eigenvalue, perron, prepare, reduce_network)
+from dcgrid.existence import _F, _residual, analytic_thresholds
 from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
 from oracles import f_pair, multistart_newton, optimize_weights
@@ -45,14 +44,6 @@ def test_necessary_threshold_values(table1_spec):
     assert tau1(np.zeros(6)) == 0.0
 
 
-def test_perron_extension_to_zero_power_loads(table1_reduced):
-    P = np.array([1000.0, 0.0, 1000.0, 500.0, 0.0, 500.0])
-    A = load_matrix(table1_reduced.Y1, P)
-    pair = _perron_on_support(A, P)
-    np.testing.assert_allclose(A @ pair.eta, pair.chi * pair.eta, atol=1e-9 * pair.chi)
-    assert np.all(pair.eta > 0)
-
-
 def test_f_pair_diagonal_and_symmetry(light):
     _, _, A = light
     rng = np.random.default_rng(5)
@@ -84,9 +75,8 @@ def test_f_pair_rejects_bad_weights(light):
 
 
 def test_optimizer_light_profile(light, table1_spec):
-    spec, _, A = light
-    pair = _perron_on_support(A, LIGHT)
-    q, tau2 = optimize_weights(A, pair.eta)
+    spec, reduced, A = light
+    q, tau2 = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
     assert q.max() == pytest.approx(1.0)
     assert 89.2769 <= tau2 <= 89.64
     # lands on the same weights the reference implementation reports
@@ -96,16 +86,15 @@ def test_optimizer_light_profile(light, table1_spec):
 
 
 def test_analytic_thresholds_light(light):
-    _, _, A = light
-    pair = _perron_on_support(A, LIGHT)
-    tau3, tau4 = analytic_thresholds(A, pair)
+    _, reduced, A = light
+    tau3, tau4 = analytic_thresholds(A, perron(reduced.Y1, LIGHT))
     assert tau3 == pytest.approx(90.5966, abs=1e-3)
     assert tau4 == pytest.approx(92.1933, abs=1e-3)
 
 
 def test_bracket_feasible_at_reference_point(light):
-    spec, _, A = light
-    q, _ = optimize_weights(A, _perron_on_support(A, LIGHT).eta)
+    spec, reduced, A = light
+    q, _ = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
     brk = bracket(q, 89.64, A)
     assert brk is not None
     np.testing.assert_allclose(brk.high, 89.64)
@@ -123,8 +112,8 @@ def test_bracket_feasible_at_reference_point(light):
 
 
 def test_bracket_infeasible_below_threshold(light):
-    _, _, A = light
-    q, tau2 = optimize_weights(A, _perron_on_support(A, LIGHT).eta)
+    _, reduced, A = light
+    q, tau2 = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
     assert bracket(q, 89.6, A) is None
     assert bracket(q, 0.99 * tau2, A) is None
     with pytest.raises(DomainError):
@@ -135,7 +124,7 @@ def test_bracket_infeasible_below_threshold(light):
 
 def test_fixed_point_light_equilibrium(light):
     spec, reduced, A = light
-    q, _ = optimize_weights(A, _perron_on_support(A, LIGHT).eta)
+    q, _ = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
     brk = bracket(q, 89.64, A)
     u, res = fixed_point_solve(89.64, reduced.Y1, LIGHT, brk)
     assert np.max(np.abs(u - U_STAR_LIGHT)) <= 0.05
@@ -193,15 +182,6 @@ def test_multistart_finds_nothing_below_solvability(light):
     for u_ref in (89.6, tau_dual * (1.0 - 1e-6)):
         assert multistart_newton(u_ref, reduced.Y1, LIGHT, seed=0) is None
         assert certify(variant(spec, u_ref=u_ref)).verdict == "undetermined"
-
-
-def test_single_cpl_advisory_boundaries(table1_spec, table1_partition):
-    k = table1_spec.k_diag()
-    # aggregate conductance 2.5 S -> scalar threshold sqrt(4 sum(P) / G)
-    assert single_cpl_check(table1_partition, k, 84.9, LIGHT)
-    assert not single_cpl_check(table1_partition, k, 84.8, LIGHT)
-    assert single_cpl_check(table1_partition, k, 135.51, HEAVY)
-    assert not single_cpl_check(table1_partition, k, 129.0, HEAVY)
 
 
 def test_certify_reference_point(table1_spec):

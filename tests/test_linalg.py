@@ -1,12 +1,12 @@
-"""Reduction, Perron iteration, M-matrix test, and the quadratic eigensolver."""
+"""Reduction, the Perron pair, M-matrix test, and the quadratic eigensolver."""
 
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, NumericalError, min_symmetric_eigenvalue, perron,
-                    reduce_network)
-from conftest import multiset_distance
-from oracles import is_m_matrix, solve_qep
+from dcgrid import (DomainError, NumericalError, build_admittance, load_matrix,
+                    min_symmetric_eigenvalue, parse_network, perron, reduce_network)
+from conftest import HEAVY, LIGHT, multiset_distance, random_grid_document
+from oracles import is_m_matrix, perron_on_support, solve_qep
 
 # reduced load-side matrix for the reference grid, published to 3-4 digits
 Y1_REFERENCE = np.array([
@@ -43,33 +43,52 @@ def test_reduced_matrix_is_an_m_matrix(table1_reduced):
     assert np.all(np.linalg.inv(table1_reduced.Y1) > 0)
 
 
-def test_perron_known_pair():
-    pair = perron(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert pair.chi == pytest.approx(3.0, rel=1e-10)
-    np.testing.assert_allclose(pair.eta, np.ones(2) / np.sqrt(2), rtol=1e-8)
+def assert_matches_oracle(Y1, P):
+    pair = perron(Y1, P)
+    chi, eta = perron_on_support(load_matrix(Y1, P), P)
+    assert pair.chi == pytest.approx(chi, rel=1e-12)
+    np.testing.assert_allclose(pair.eta, eta, rtol=1e-12, atol=0)
+    assert np.all(pair.eta > 0)
+    assert np.linalg.norm(pair.eta) == pytest.approx(1.0, rel=1e-14)
+    return pair
 
 
-def test_perron_random_matrices():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        m = int(rng.integers(1, 7))
-        A = rng.uniform(0.1, 5.0, (m, m))
-        pair = perron(A)
-        np.testing.assert_allclose(A @ pair.eta, pair.chi * pair.eta,
-                                   atol=1e-9 * pair.chi)
-        assert np.all(pair.eta > 0)
-        assert pair.eta.shape == (m,)
-        assert np.linalg.norm(pair.eta) == pytest.approx(1.0)
-        # Collatz-Wielandt: the root is bracketed by the row-sum extremes
-        rows = A.sum(axis=1)
-        assert rows.min() - 1e-9 <= pair.chi <= rows.max() + 1e-9
+@pytest.mark.parametrize("P", [LIGHT, HEAVY, [1000.0, 0.0, 1000.0, 500.0, 0.0, 500.0]])
+def test_perron_reference_grid(table1_reduced, P):
+    P = np.asarray(P)
+    pair = assert_matches_oracle(table1_reduced.Y1, P)
+    A = load_matrix(table1_reduced.Y1, P)
+    np.testing.assert_allclose(A @ pair.eta, pair.chi * pair.eta, atol=1e-12 * pair.chi)
 
 
-def test_perron_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        perron(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(DomainError):
-        perron(np.ones((2, 3)))
+def test_perron_corpus_with_zeroed_loads(corpus):
+    for case in corpus:
+        P = case.spec.p_vector()
+        assert_matches_oracle(case.reduced.Y1, P)
+        on = np.flatnonzero(P > 0)
+        if on.size > 1:
+            assert_matches_oracle(case.reduced.Y1, np.where(np.arange(P.size) == on[0], 0.0, P))
+
+
+@pytest.mark.parametrize("m", [96, 192, 384])
+def test_perron_large_grids(m):
+    spec = parse_network(random_grid_document(np.random.default_rng(m), m=m))
+    P = spec.p_vector()
+    assert np.any(P == 0)
+    assert_matches_oracle(reduce_network(build_admittance(spec), spec.k_diag()), P)
+
+
+def test_perron_failed_residual_raises(table1_reduced, monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: (1.01 * eigh(S)[0], eigh(S)[1]))
+    with pytest.raises(NumericalError, match="residual"):
+        perron(table1_reduced.Y1, LIGHT)
+
+
+def test_perron_rejects_bad_powers(table1_reduced):
+    for P in (np.zeros(6), -LIGHT, np.ones(5)):
+        with pytest.raises(DomainError):
+            perron(table1_reduced.Y1, P)
 
 
 def test_m_matrix_classification():

@@ -72,6 +72,15 @@ def test_sufficient_certificate_tracks_damping(table1_partition, table1_spec, li
     assert not sufficient_stability(Y_eq, C, k, 3e-3)
 
 
+@pytest.mark.parametrize("u_ref, P", [(89.64, LIGHT), (135.51, HEAVY)])
+def test_damping_bound_is_below_the_certificate_ceiling(table1_spec, u_ref, P):
+    # b0 bounds C by C_min and K^-1 by 1/k_max, so the certificate outlasts it
+    spec = variant(table1_spec, u_ref=u_ref, P=P)
+    rep = analyze_stability(spec, certify(spec).u_load)
+    assert np.isfinite(rep.b0)
+    assert sufficient_stability(rep.Y_eq, spec.c_diag(), spec.k_diag(), 1.05 * rep.b0)
+
+
 def test_damping_bound_infinite_without_cpl(table1_partition, table1_spec):
     Y_eq = effective_admittance(table1_partition, np.full(6, np.inf))
     assert np.isinf(b_max(Y_eq, table1_spec.c_diag(), table1_spec.k_diag()))
