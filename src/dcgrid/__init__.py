@@ -8,7 +8,7 @@ hangs off a single JSON grid document; see `network` for the schema.
 """
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import (Bracket, ExistenceCertificate, PreparedGrid,
+from .existence import (Bracket, ExistenceCertificate, PreparedGrid, Thresholds,
                         analytic_thresholds, bracket, certify, dual_ascent,
                         f_matrix, fixed_point_solve, load_matrix, prepare)
 from .linalg import PerronPair, min_symmetric_eigenvalue, perron, reduce_network
@@ -27,7 +27,7 @@ __all__ = [
     "AdmittancePartition", "Bracket", "ControlParams", "DomainError",
     "Event", "ExistenceCertificate", "Line", "LoadNode", "NetworkSpec",
     "NumericalError", "PerronPair", "PreparedGrid", "Scenario",
-    "SimulationTrace", "SourceNode", "SpecError", "StabilityReport",
+    "SimulationTrace", "SourceNode", "SpecError", "StabilityReport", "Thresholds",
     "analytic_thresholds", "analyze_stability", "b_max", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",
     "dual_ascent", "effective_admittance", "f_matrix", "fixed_point_solve",

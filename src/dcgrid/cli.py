@@ -171,6 +171,9 @@ def _sweep_row(param, value, cert, report):
 
 def cmd_sweep(args) -> int:
     spec = load_network(args.spec)
+    for flag, value in (("--min", args.vmin), ("--max", args.vmax), ("--bisect", args.bisect)):
+        if value is not None and not np.isfinite(value):
+            raise SpecError("must be finite", field=flag)
     if args.vmin > args.vmax:
         raise SpecError("min must not exceed max", field="--min/--max")
     if args.points is not None and args.points < 1:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, to_json
 from .errors import DomainError, NumericalError
 from .linalg import PerronPair, _solve_balance, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
@@ -53,6 +54,7 @@ __all__ = [
     "ExistenceCertificate",
     "Bracket",
     "PreparedGrid",
+    "Thresholds",
     "load_matrix",
     "f_matrix",
     "dual_ascent",
@@ -69,17 +71,15 @@ _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 
 
 @dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     low: np.ndarray    # h*xi, volts
     high: np.ndarray   # zeta = u_ref*1, volts
 
-    def __post_init__(self):
-        self.low.setflags(write=False)
-        self.high.setflags(write=False)
-
 
 @dataclass(frozen=True)
-class ExistenceCertificate:
+class Thresholds(Record):
+    """The per-grid part of a certificate: tau1-tau4, tau* and its certificates."""
+
     tau_necessary: float
     tau_optimized: float
     tau_perron_vector: float
@@ -88,6 +88,10 @@ class ExistenceCertificate:
     q_weights: np.ndarray                 # 1/primal_floor, scaled to max 1
     dual_weights: np.ndarray              # w, sums to 1, proves tau_dual
     primal_floor: np.ndarray              # x, volts: x + A(1/x) <= tau*1
+
+
+@dataclass(frozen=True)
+class ExistenceCertificate(Thresholds):
     bracket_low: np.ndarray | None        # h*xi when the bracket is feasible
     bracket_high: np.ndarray              # zeta
     verdict: str                          # certified-exists | necessary-failed | undetermined
@@ -95,33 +99,12 @@ class ExistenceCertificate:
     residual: float | None                # inf-norm of the power balance at u_load
     note: str = ""
 
-    def __post_init__(self):
-        for arr in (self.q_weights, self.dual_weights, self.primal_floor,
-                    self.bracket_low, self.bracket_high, self.u_load):
-            if arr is not None:
-                arr.setflags(write=False)
-
     def to_dict(self) -> dict:
-        return {
-            "tau_necessary": self.tau_necessary,
-            "tau_optimized": self.tau_optimized,
-            "tau_perron_vector": self.tau_perron_vector,
-            "tau_contraction": self.tau_contraction,
-            "tau_dual": self.tau_dual,
-            "q_weights": self.q_weights.tolist(),
-            "dual_weights": self.dual_weights.tolist(),
-            "primal_floor": self.primal_floor.tolist(),
-            "bracket_low": None if self.bracket_low is None else self.bracket_low.tolist(),
-            "bracket_high": self.bracket_high.tolist(),
-            "verdict": self.verdict,
-            "u_load": None if self.u_load is None else self.u_load.tolist(),
-            "residual": self.residual,
-            "note": self.note,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
-class PreparedGrid:
+class PreparedGrid(Thresholds):
     """A grid with the part of the existence analysis that u_ref and b leave alone.
 
     Built by `prepare`, once per grid; `certify` and `analyze_stability`
@@ -136,19 +119,6 @@ class PreparedGrid:
     P: np.ndarray                         # load powers, watts
     A: np.ndarray                         # Y1^-1 diag(P)
     pair: PerronPair | None               # Perron pair of A; None when P = 0
-    tau_necessary: float
-    tau_optimized: float
-    tau_perron_vector: float
-    tau_contraction: float
-    tau_dual: float
-    q_weights: np.ndarray                 # 1/primal_floor, scaled to max 1
-    dual_weights: np.ndarray
-    primal_floor: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.Y1, self.P, self.A, self.q_weights, self.dual_weights,
-                    self.primal_floor):
-            arr.setflags(write=False)
 
     def with_uref(self, u_ref: float) -> PreparedGrid:
         """The same grid at another reference voltage u_ref > 0 (Y1 does not depend on it)."""
@@ -368,14 +338,11 @@ def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
     Y1, P = grid.Y1, grid.P
     zeta = u_ref * np.ones(grid.spec.m)
 
+    thresholds = {f.name: getattr(grid, f.name) for f in dataclasses.fields(Thresholds)}
+
     def cert(verdict, brk, u, res, note=""):
         return ExistenceCertificate(
-            tau_necessary=grid.tau_necessary, tau_optimized=grid.tau_optimized,
-            tau_perron_vector=grid.tau_perron_vector,
-            tau_contraction=grid.tau_contraction, tau_dual=grid.tau_dual,
-            q_weights=grid.q_weights, dual_weights=grid.dual_weights,
-            primal_floor=grid.primal_floor,
-            bracket_low=None if brk is None else brk.low,
+            **thresholds, bracket_low=None if brk is None else brk.low,
             bracket_high=zeta, verdict=verdict, u_load=u, residual=res, note=note)
 
     if np.all(P == 0):  # the thresholds of such a grid are all 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, NumericalError
 from .network import AdmittancePartition
 
@@ -29,12 +30,9 @@ _NEWTON_STEPS = 50   # Newton steps per balance solve; existence needs at most 1
 
 
 @dataclass(frozen=True)
-class PerronPair:
+class PerronPair(Record):
     chi: float          # spectral radius
     eta: np.ndarray     # positive unit eigenvector
-
-    def __post_init__(self):
-        self.eta.setflags(write=False)
 
 
 def _symmetrize(A, what):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import SpecError
 
 __all__ = [
@@ -93,7 +94,7 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class AdmittancePartition:
+class AdmittancePartition(Record):
     """Conductance Laplacian of the full grid and its source/load blocks.
 
     Y is (n+m)x(n+m), symmetric, zero row sums, nonpositive off-diagonals.
@@ -108,10 +109,6 @@ class AdmittancePartition:
     source_index: dict
     load_index: dict
 
-    def __post_init__(self):
-        for arr in (self.Y, self.Y_SS, self.Y_SL, self.Y_LS, self.Y_LL):
-            arr.setflags(write=False)
-
 
 def _require(cond, message, field):
     if not cond:
@@ -120,24 +117,37 @@ def _require(cond, message, field):
 
 def _number(obj, key, path, positive=False, nonnegative=False):
     _require(key in obj, "missing required key", f"{path}.{key}")
-    val = obj[key]
+    return _finite(obj[key], f"{path}.{key}", positive, nonnegative)
+
+
+def _finite(val, field, positive=False, nonnegative=False):
+    """val as a finite float; booleans, NaN and infinities are rejected."""
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             "expected a number", f"{path}.{key}")
+             "expected a number", field)
     val = float(val)
-    _require(np.isfinite(val), "must be finite", f"{path}.{key}")
+    _require(np.isfinite(val), "must be finite", field)
     if positive:
-        _require(val > 0, "must be > 0", f"{path}.{key}")
+        _require(val > 0, "must be > 0", field)
     if nonnegative:
-        _require(val >= 0, "must be >= 0", f"{path}.{key}")
+        _require(val >= 0, "must be >= 0", field)
+    return val
+
+
+def _node_id(obj, key, path):
+    _require(key in obj, "missing required key", f"{path}.{key}")
+    val = obj[key]
+    _require(isinstance(val, (str, int)) and not isinstance(val, bool),
+             "node id must be a string or an integer", f"{path}.{key}")
     return val
 
 
 def parse_network(document: dict) -> NetworkSpec:
     """Validate a grid document and return the immutable NetworkSpec.
 
-    Raises SpecError with a dotted field path on any schema violation:
-    duplicate ids, nonpositive resistance/capacitance, dangling line
-    endpoints, parallel lines, self loops, or a disconnected graph.
+    Raises SpecError with a dotted field path on any schema violation: an id
+    that is not a string or an integer, duplicate ids, nonpositive
+    resistance/capacitance, dangling line endpoints, parallel lines, self
+    loops, or a disconnected graph.
     """
     _require(isinstance(document, dict), "document must be a JSON object", "$")
     for key in ("sources", "loads", "lines", "control"):
@@ -150,11 +160,11 @@ def parse_network(document: dict) -> NetworkSpec:
     for i, s in enumerate(document["sources"]):
         path = f"sources[{i}]"
         _require(isinstance(s, dict), "expected an object", path)
-        _require("id" in s, "missing required key", f"{path}.id")
-        _require(s["id"] not in seen_ids, "duplicate node id", f"{path}.id")
-        seen_ids.add(s["id"])
+        node = _node_id(s, "id", path)
+        _require(node not in seen_ids, "duplicate node id", f"{path}.id")
+        seen_ids.add(node)
         sources.append(SourceNode(
-            id=s["id"],
+            id=node,
             V=_number(s, "V", path, positive=True),
             L=_number(s, "L", path, positive=True),
             C=_number(s, "C", path, positive=True),
@@ -167,10 +177,10 @@ def parse_network(document: dict) -> NetworkSpec:
     for i, l in enumerate(document["loads"]):
         path = f"loads[{i}]"
         _require(isinstance(l, dict), "expected an object", path)
-        _require("id" in l, "missing required key", f"{path}.id")
-        _require(l["id"] not in seen_ids, "duplicate node id", f"{path}.id")
-        seen_ids.add(l["id"])
-        loads.append(LoadNode(id=l["id"], P=_number(l, "P", path, nonnegative=True)))
+        node = _node_id(l, "id", path)
+        _require(node not in seen_ids, "duplicate node id", f"{path}.id")
+        seen_ids.add(node)
+        loads.append(LoadNode(id=node, P=_number(l, "P", path, nonnegative=True)))
 
     lines = []
     seen_pairs = set()
@@ -179,8 +189,8 @@ def parse_network(document: dict) -> NetworkSpec:
         path = f"lines[{i}]"
         _require(isinstance(e, dict), "expected an object", path)
         for end in ("a", "b"):
-            _require(end in e, "missing required key", f"{path}.{end}")
-            _require(e[end] in seen_ids, "line endpoint is not a declared node", f"{path}.{end}")
+            _require(_node_id(e, end, path) in seen_ids,
+                     "line endpoint is not a declared node", f"{path}.{end}")
         _require(e["a"] != e["b"], "self loop not allowed", path)
         pair = frozenset((e["a"], e["b"]))
         _require(pair not in seen_pairs, "duplicate line between the same nodes", path)

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .errors import NumericalError, SpecError
 from .linalg import _solve_balance
-from .network import AdmittancePartition, NetworkSpec, build_admittance, parse_network
+from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _require,
+                      build_admittance, parse_network)
 
 __all__ = [
     "Event",
@@ -93,7 +95,7 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(Record):
     t: np.ndarray
     u_load: np.ndarray          # samples x m
     u_source: np.ndarray        # samples x n
@@ -105,10 +107,6 @@ class SimulationTrace:
     collapse_node: object = None  # load id whose voltage broke first
     load_ids: tuple = ()
     source_ids: tuple = ()
-
-    def __post_init__(self):
-        for arr in (self.t, self.u_load, self.u_source, self.i_inductor, self.i_source):
-            arr.setflags(write=False)
 
     def to_csv(self, fh) -> None:
         """Write the trace in the plot-ready column layout.
@@ -138,63 +136,46 @@ class SimulationTrace:
             fh.write("# terminated completed\n")
 
 
-def _vector(obj, key, path, length, minimum=None):
-    if key not in obj:
-        raise SpecError("missing required key", field=f"{path}.{key}")
+def _vector(obj, key, path, length):
+    """obj[key] as an array of `length` finite numbers >= 0."""
+    field = f"{path}.{key}"
+    _require(key in obj, "missing required key", field)
     val = obj[key]
-    if not isinstance(val, list) or len(val) != length:
-        raise SpecError(f"expected a list of {length} numbers", field=f"{path}.{key}")
-    arr = np.array([float(v) for v in val])
-    if not np.all(np.isfinite(arr)):
-        raise SpecError("entries must be finite", field=f"{path}.{key}")
-    if minimum is not None and np.any(arr < minimum):
-        raise SpecError(f"entries must be >= {minimum}", field=f"{path}.{key}")
-    return arr
+    _require(isinstance(val, list) and len(val) == length,
+             f"expected a list of {length} numbers", field)
+    return np.array([_finite(v, f"{field}[{i}]", nonnegative=True) for i, v in enumerate(val)])
 
 
 def parse_scenario(document: dict) -> Scenario:
     """Validate a scenario document (grid document + "scenario" block)."""
     spec = parse_network(document)
-    if "scenario" not in document:
-        raise SpecError("missing required key", field="$.scenario")
+    _require("scenario" in document, "missing required key", "$.scenario")
     sc = document["scenario"]
-    if not isinstance(sc, dict):
-        raise SpecError("expected an object", field="scenario")
-    horizon = sc.get("horizon")
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        raise SpecError("must be a positive number", field="scenario.horizon")
-    dt = sc.get("dt", _DEFAULT_DT)
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        raise SpecError("must be a positive number", field="scenario.dt")
+    _require(isinstance(sc, dict), "expected an object", "scenario")
+    horizon = _number(sc, "horizon", "scenario", positive=True)
+    dt = _number(sc, "dt", "scenario", positive=True) if "dt" in sc else _DEFAULT_DT
+    _require(isinstance(sc.get("events", []), list), "expected a list", "scenario.events")
     events = []
     last_t = -np.inf
     for i, ev in enumerate(sc.get("events", [])):
         path = f"scenario.events[{i}]"
-        if not isinstance(ev, dict):
-            raise SpecError("expected an object", field=path)
-        t = ev.get("t")
-        if not isinstance(t, (int, float)) or t < 0:
-            raise SpecError("must be a number >= 0", field=f"{path}.t")
-        if t < last_t:
-            raise SpecError("events must be sorted by time", field=f"{path}.t")
-        last_t = float(t)
+        _require(isinstance(ev, dict), "expected an object", path)
+        t = _number(ev, "t", path, nonnegative=True)
+        _require(t >= last_t, "events must be sorted by time", f"{path}.t")
+        last_t = t
         action = ev.get("action")
         if action == "set-loads":
-            events.append(Event(t=float(t), action=action,
-                                P=_vector(ev, "P", path, spec.m, minimum=0.0)))
+            events.append(Event(t=t, action=action, P=_vector(ev, "P", path, spec.m)))
         elif action == "set-controller":
-            k = _vector(ev, "k", path, spec.n, minimum=0.0)
-            b = ev.get("b")
-            if not isinstance(b, (int, float)) or b <= 0:
-                raise SpecError("must be a positive number", field=f"{path}.b")
-            events.append(Event(t=float(t), action=action, k=k, b=float(b)))
+            events.append(Event(t=t, action=action, k=_vector(ev, "k", path, spec.n),
+                                b=_number(ev, "b", path, positive=True)))
         elif action == "activate-cpl":
-            events.append(Event(t=float(t), action=action))
+            events.append(Event(t=t, action=action))
         else:
             raise SpecError("unknown action", field=f"{path}.action")
-    if events and horizon < events[-1].t:
-        raise SpecError("horizon must cover the last event", field="scenario.horizon")
-    return Scenario(spec=spec, horizon=float(horizon), dt=float(dt), events=tuple(events))
+    _require(not events or horizon >= events[-1].t, "horizon must cover the last event",
+             "scenario.horizon")
+    return Scenario(spec=spec, horizon=horizon, dt=dt, events=tuple(events))
 
 
 def load_scenario(path) -> Scenario:

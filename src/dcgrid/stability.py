@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, to_json
 from .errors import DomainError, NumericalError
 from .existence import PreparedGrid
 from .linalg import min_symmetric_eigenvalue
@@ -42,7 +43,7 @@ _ABSCISSA_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     r_load: np.ndarray          # incremental CPL resistances, ohms (+inf where P=0)
     g_load: np.ndarray          # 1/r_load with exact zeros where P=0, siemens
     Y_eq: np.ndarray            # effective source-side admittance, n x n
@@ -54,23 +55,8 @@ class StabilityReport:
     b: float                    # damping coefficient the report was evaluated at
     verdict: str                # stable | unstable
 
-    def __post_init__(self):
-        for arr in (self.r_load, self.g_load, self.Y_eq, self.spectrum):
-            arr.setflags(write=False)
-
     def to_dict(self) -> dict:
-        return {
-            "r_load": [None if np.isinf(r) else r for r in self.r_load.tolist()],
-            "g_load": self.g_load.tolist(),
-            "Y_eq": self.Y_eq.tolist(),
-            "lambda1": self.lambda1,
-            "spectrum": [[z.real, z.imag] for z in self.spectrum.tolist()],
-            "abscissa": self.abscissa,
-            "sufficient_holds": bool(self.sufficient_holds),
-            "b0": None if np.isinf(self.b0) else self.b0,
-            "b": self.b,
-            "verdict": self.verdict,
-        }
+        return to_json(self)
 
 
 def cpl_linearize(u_star: np.ndarray, P: np.ndarray) -> np.ndarray:

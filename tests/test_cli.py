@@ -275,6 +275,10 @@ def test_sweep_single_point_range(capsys):
     ["--param", "uref", "--min", "88", "--max", "91", "--points", "1"],  # one point over a range
     ["--param", "uref", "--min", "-10", "--max", "91", "--points", "3"],  # u_ref <= 0
     ["--param", "b", "--min", "0", "--max", "1e-3", "--points", "2"],  # b <= 0
+    ["--param", "uref", "--min", "nan", "--max", "91", "--points", "3"],
+    ["--param", "load", "--min", "0.5", "--max", "inf", "--points", "3"],
+    ["--param", "uref", "--min", "88", "--max", "91", "--bisect", "nan"],
+    ["--param", "uref", "--min", "88", "--max", "91", "--bisect", "inf"],
 ])
 def test_sweep_rejects_bad_requests(args, table1_file, capsys):
     # at 80 V no point reaches the stability analysis, which rejects b <= 0 itself

@@ -53,6 +53,12 @@ def _mutate(doc, fn):
     (lambda d: d["lines"][2].update(a="ghost"), "lines[2]"),
     (lambda d: d["control"].update(u_ref=0), "control.u_ref"),
     (lambda d: d["control"].update(b=-1e-3), "control.b"),
+    (lambda d: d["sources"][0].update(id=[1]), "sources[0].id"),
+    (lambda d: d["loads"][2].update(id={"n": 7}), "loads[2].id"),
+    (lambda d: d["loads"][0].update(id=True), "loads[0].id"),
+    (lambda d: d["sources"][1].update(id=2.0), "sources[1].id"),
+    (lambda d: d["lines"][1].update(a=[1]), "lines[1].a"),
+    (lambda d: d["lines"][3].update(b={"n": 7}), "lines[3].b"),
 ])
 def test_validation_diagnostics_carry_field_paths(table1_doc, mutate, needle):
     with pytest.raises(SpecError) as err:

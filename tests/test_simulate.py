@@ -53,6 +53,22 @@ def test_parse_scenario_defaults():
         {"t": 0, "action": "set-controller", "k": [1.0], "b": 0}]), "b"),
     (lambda d: d["scenario"].update(horizon=0.001, events=[
         {"t": 0.5, "action": "activate-cpl"}]), "horizon"),
+    # malformed values are rejected with their field path, as in the grid document
+    (lambda d: d["scenario"].update(events=5), "scenario.events"),
+    (lambda d: d["scenario"].update(horizon=float("inf")), "scenario.horizon"),
+    (lambda d: d["scenario"].update(horizon=True), "scenario.horizon"),
+    (lambda d: d["scenario"].update(dt=float("nan")), "scenario.dt"),
+    (lambda d: d["scenario"].update(events=[{"t": float("nan"), "action": "activate-cpl"}]),
+     "scenario.events[0].t"),
+    (lambda d: d["scenario"].update(events=[{"t": True, "action": "activate-cpl"}]),
+     "scenario.events[0].t"),
+    (lambda d: d["scenario"].update(events=[{"t": 0, "action": "set-loads", "P": ["x"]}]),
+     "scenario.events[0].P[0]"),
+    (lambda d: d["scenario"].update(events=[{"t": 0, "action": "set-loads", "P": [True]}]),
+     "scenario.events[0].P[0]"),
+    (lambda d: d["scenario"].update(events=[
+        {"t": 0, "action": "set-controller", "k": [1.0], "b": float("nan")}]),
+     "scenario.events[0].b"),
 ])
 def test_parse_scenario_diagnostics(corrupt, needle):
     doc = _scenario_doc(0.05)
