@@ -222,6 +222,8 @@ def cmd_sweep(args) -> int:
         else:
             while hi - lo > args.bisect:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # lo and hi are adjacent doubles
+                    break
                 if evaluate(mid) == found_hi:
                     hi = mid
                 else:

@@ -26,9 +26,11 @@ positive definite, which marks the greatest fixed point.
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
 can beat, and a primal floor x with x + A(1/x) <= tau*1, which proves one
-exists at tau* and above. The two agree to 1e-10, so above tau2 the
-bracket certifies existence, and a u_ref below tau_dual*(1 - 1e-9) is
-reported undetermined with the bound that rules it out; no search runs.
+exists at tau* and above. It runs Newton on the optimality conditions (every
+row of x + A(1/x) tight) from the left Perron vector, whose dual bound is
+tau1. The two sides agree to 1e-10, so above tau2 the bracket certifies
+existence, and a u_ref below tau_dual*(1 - 1e-9) is reported undetermined
+with the bound that rules it out; no search runs.
 
 The work splits in two stages. The thresholds and the certificates depend on
 A alone, which depends on neither u_ref nor b, and scaling every load by s
@@ -65,7 +67,7 @@ __all__ = [
     "certify",
 ]
 
-_ASCENT_CAP = 20_000          # dual-ascent iterations; 150-850 reach the gap
+_ASCENT_CAP = 50              # Newton steps; at most 10 reach the gap from psi
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 
@@ -176,41 +178,67 @@ def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
     return F
 
 
-def dual_ascent(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def dual_ascent(A: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Exact solvability threshold tau* with both certificates; (w, x, tau_dual).
 
     tau* = min over x > 0 of max_i (x + A(1/x))_i. For every w in the simplex
     AM-GM gives max_i (x + A(1/x))_i >= 2 sum_j sqrt(w_j (A'w)_j) = tau_dual,
     so w proves that no equilibrium exists below tau_dual, and x proves that
-    one exists at every u_ref >= max(x + A(1/x)). The ascent iterates
-    w <- w*sqrt(x + A(1/x)), renormalized, with x = sqrt(A'w/w), on the loads
-    with P > 0 (A's nonzero columns), until the two bounds agree to
-    _ASCENT_GAP. Each iterate is a valid pair, so hitting _ASCENT_CAP only
-    leaves a wider gap. A zero-load row r gets x_r = tau - (A(1/x))_r, which
-    puts it exactly at the primal bound tau.
+    one exists at every u_ref >= max(x + A(1/x)). On the loads with P > 0
+    (A's nonzero columns, B below) the minimizing x is sqrt(B'w/w), and
+    g = x + B(1/x) is the gradient of the concave dual bound; at the optimum
+    every g_i equals tau*. Newton solves g(w) = tau*1 with sum w = 1 from the
+    start weights w0 (in the simplex, positive on the support), halving each
+    step until w stays positive and the gap max g - tau_dual shrinks, until
+    the gap is _ASCENT_GAP relative. From the left Perron vector the first
+    dual bound is tau1, and at most 10 steps close the gap on the test
+    grids. Each iterate is a valid pair, so hitting _ASCENT_CAP, or a step
+    that cannot shrink the gap, only leaves a wider one. A zero-load row r gets x_r = tau - (A(1/x))_r, which
+    puts it exactly at the primal bound tau, and tau_dual is evaluated on A.
     """
     support = np.flatnonzero(A.any(axis=0))
     B = A[np.ix_(support, support)]
+    s = support.size
+    # bordered Newton matrix [-J 1; 1' 0]; only J changes between steps
+    K = np.zeros((s + 1, s + 1))
+    K[:s, s], K[s, :s] = 1.0, 1.0
 
-    def step(w):
-        Aw = B.T @ w
-        x = np.sqrt(Aw / w)
-        return x, x + B @ (1.0 / x), 2.0 * float(np.sum(np.sqrt(w * Aw)))
+    def evaluate(w):  # x, g and the relative gap at w
+        Bw = B.T @ w
+        x = np.sqrt(Bw / w)
+        g = x + B @ (1.0 / x)
+        return x, g, g.max() / (2.0 * float(np.sum(np.sqrt(w * Bw)))) - 1.0
 
-    w = np.full(support.size, 1.0 / support.size)
-    x, g, tau_dual = step(w)
+    w = np.asarray(w0, dtype=float)[support]
+    x, g, gap = evaluate(w)
     for _ in range(_ASCENT_CAP):
-        if g.max() - tau_dual <= _ASCENT_GAP * tau_dual:
+        if gap <= _ASCENT_GAP:
             break
-        w = w * np.sqrt(g)
-        w /= w.sum()
-        x, g, tau_dual = step(w)
+        # g is the gradient of the concave dual bound and J = dg/dw its
+        # Hessian, J = -Y Y' with Y = (B - diag(x^2)) diag(1/sqrt(2 x^3 w))
+        Y = B * (1.0 / np.sqrt(2.0 * x ** 3 * w))
+        Y[np.arange(s), np.arange(s)] -= np.sqrt(0.5 * x / w)
+        K[:s, :s] = Y @ Y.T
+        try:
+            dw = np.linalg.solve(K, np.append(g - g.max(), 0.0))[:s]
+        except np.linalg.LinAlgError:
+            break
+        for t in 0.5 ** np.arange(31):  # halve until w > 0 and the gap shrinks
+            trial = w + t * dw
+            if np.all(trial > 0.0):
+                trial /= trial.sum()
+                x_t, g_t, gap_t = evaluate(trial)
+                if gap_t < gap:
+                    break
+        else:
+            break
+        w, x, g, gap = trial, x_t, g_t, gap_t
     m = A.shape[0]
     w_full, x_full = np.zeros(m), np.empty(m)
     w_full[support], x_full[support] = w, x
     rest = np.setdiff1d(np.arange(m), support)
     x_full[rest] = g.max() - A[np.ix_(rest, support)] @ (1.0 / x)
-    return w_full, x_full, tau_dual
+    return w_full, x_full, 2.0 * float(np.sum(np.sqrt(w_full * (A.T @ w_full))))
 
 
 def analytic_thresholds(A: np.ndarray, pair: PerronPair) -> tuple[float, float]:
@@ -306,11 +334,12 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
             dual_weights=np.full(spec.m, 1.0 / spec.m), primal_floor=np.zeros(spec.m))
     pair = perron(Y1, P)
     # tau1 = 2 sqrt(chi) as the dual bound at w = psi, the left Perron vector
-    # P*eta summing to 1: evaluated on A itself it equals tau_dual bit for bit
-    # on a grid with one loaded node, where tau1 = tau* exactly
+    # P*eta summing to 1, where dual_ascent starts: evaluated on A itself it
+    # equals tau_dual bit for bit before the first Newton step, so on a grid
+    # with one loaded node, where tau1 = tau* exactly
     psi = P * pair.eta / np.dot(P, pair.eta)
     tau3, tau4 = analytic_thresholds(A, pair)
-    w, x, tau_dual = dual_ascent(A)
+    w, x, tau_dual = dual_ascent(A, psi)
     q = 1.0 / x
     return PreparedGrid(
         spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,

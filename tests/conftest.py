@@ -123,7 +123,7 @@ class Case:
         pair = perron(Y1, P)
         tau1 = 2.0 * np.sqrt(pair.chi)
         tau3, tau4 = analytic_thresholds(A, pair)
-        _, x, _ = dual_ascent(A)
+        _, x, _ = dual_ascent(A, P * pair.eta / np.dot(P, pair.eta))
         q = 1.0 / x
         tau2 = float(np.sqrt(f_matrix(A, q).max()))
         u_ref = float(tau2 * rng.uniform(1.05, 1.5))

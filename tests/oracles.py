@@ -8,7 +8,9 @@ property two independent ways, `solve_qep` gives the quadratic-pencil
 spectrum that the closed-loop Jacobian must reproduce, `optimize_weights` is
 a scipy-driven Nelder-Mead weight search whose weights reproduce the
 published bracket floor, `threshold_bounds` recomputes both bounds of a
-threshold certificate from A alone, `multistart_newton` searches for
+threshold certificate from A alone, `multiplicative_ascent` is the
+first-order route to the same threshold that `dcgrid.dual_ascent` must
+agree with, `multistart_newton` searches for
 equilibria with no certificate at all, and `trace_csv` is the row-by-row
 writer that `SimulationTrace.to_csv` must match byte for byte. The
 package itself uses none of them.
@@ -203,6 +205,39 @@ def threshold_bounds(A, w, x) -> tuple[float, float]:
     lower = 2.0 * float(np.sum(np.sqrt(w * (A.T @ w))))
     upper = float(np.max(x + A @ (1.0 / x)))
     return lower, upper
+
+
+def multiplicative_ascent(A, gap=1e-10, cap=20_000) -> tuple[np.ndarray, np.ndarray, float]:
+    """(w, x, tau_dual) of the threshold program by the multiplicative update.
+
+    From uniform weights on the loaded support (A's nonzero columns) it
+    iterates w <- w*sqrt(x + A(1/x)), renormalized, with x = sqrt(A'w/w),
+    until max(x + A(1/x)) and the dual bound 2 sum sqrt(w (A'w)) agree to
+    `gap` relative, a linear rate (about 200-1100 iterations on the test
+    grids). Zero-load rows get x_r = tau - (A(1/x))_r, as in the package.
+    """
+    support = np.flatnonzero(A.any(axis=0))
+    B = A[np.ix_(support, support)]
+
+    def step(w):
+        Aw = B.T @ w
+        x = np.sqrt(Aw / w)
+        return x, x + B @ (1.0 / x), 2.0 * float(np.sum(np.sqrt(w * Aw)))
+
+    w = np.full(support.size, 1.0 / support.size)
+    x, g, tau_dual = step(w)
+    for _ in range(cap):
+        if g.max() - tau_dual <= gap * tau_dual:
+            break
+        w = w * np.sqrt(g)
+        w /= w.sum()
+        x, g, tau_dual = step(w)
+    m = A.shape[0]
+    w_full, x_full = np.zeros(m), np.empty(m)
+    w_full[support], x_full[support] = w, x
+    rest = np.setdiff1d(np.arange(m), support)
+    x_full[rest] = g.max() - A[np.ix_(rest, support)] @ (1.0 / x)
+    return w_full, x_full, tau_dual
 
 
 def multistart_newton(u_ref, Y1, P, seed=0, starts=17, steps=60):

@@ -238,6 +238,27 @@ def test_sweep_bisection_unbracketed_range(tmp_path):
     assert "# boundary not bracketed" in out.read_text()
 
 
+def test_sweep_bisection_stops_at_adjacent_doubles(monkeypatch, capsys):
+    # a tolerance below the float spacing of the range ends on adjacent doubles
+    found, calls, original = {}, [], cli.certify
+
+    def certify(grid):
+        calls.append(grid)
+        if len(calls) > 200:
+            raise RuntimeError("bisection did not stop")
+        cert = original(grid)
+        found[grid.spec.control.u_ref] = cert.u_load is not None
+        return cert
+
+    monkeypatch.setattr(cli, "certify", certify)
+    assert main(["sweep", str(TABLE1), "--param", "uref",
+                 "--min", "88", "--max", "91", "--bisect", "1e-20"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("# boundary lo=")
+    lo = max(u for u, ok in found.items() if not ok)
+    hi = min(u for u, ok in found.items() if ok)
+    assert hi == np.nextafter(lo, np.inf)
+
+
 def test_sweep_load_scale(tmp_path):
     out = tmp_path / "load.csv"
     code = main(["sweep", str(TABLE1), "--param", "load",

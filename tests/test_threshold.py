@@ -3,7 +3,9 @@
 `dual_ascent` returns dual weights w and a primal floor x. `oracles.threshold_bounds`
 recomputes from A alone what each proves: no equilibrium below
 2 sum sqrt(w (A'w)), and one at every u_ref >= max(x + A(1/x)). The paper's
-tau2, evaluated at q = 1/x, must sit on the dual bound from both sides.
+tau2, evaluated at q = 1/x, must sit on the dual bound from both sides, and
+`oracles.multiplicative_ascent`, a first-order route to the same program,
+must reach the same bound.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from dcgrid import certify, dual_ascent, f_matrix, parse_network, prepare
 from dcgrid import existence
 from conftest import HEAVY, random_grid_document, variant
-from oracles import threshold_bounds
+from oracles import multiplicative_ascent, threshold_bounds
 
 SIZES = (96, 192, 384)
 
@@ -32,6 +34,11 @@ def large_grids():
 @pytest.fixture(scope="module")
 def reference_grids(table1_spec):
     return [prepare(table1_spec), prepare(variant(table1_spec, P=HEAVY))]
+
+
+def perron_start(grid):
+    """The left Perron vector P*eta summing to 1, where `prepare` starts the ascent."""
+    return grid.P * grid.pair.eta / np.dot(grid.P, grid.pair.eta)
 
 
 def check_certificate(grid):
@@ -101,7 +108,7 @@ def test_capped_ascent_gives_valid_bounds(monkeypatch, reference_grids, large_gr
     exact = [(g.spec, g.tau_dual) for g in reference_grids + large_grids]
     monkeypatch.setattr(existence, "_ASCENT_CAP", cap)
     for spec, tau in exact:
-        w, x, tau_dual = dual_ascent(prepare(spec).A)
+        w, x, tau_dual = dual_ascent(prepare(spec).A, perron_start(prepare(spec)))
         lower, upper = threshold_bounds(prepare(spec).A, w, x)
         assert lower == pytest.approx(tau_dual, rel=1e-12)
         assert lower <= tau * (1 + 1e-9) and upper >= tau * (1 - 1e-9)
@@ -120,7 +127,35 @@ def test_capped_ascent_gives_valid_bounds(monkeypatch, reference_grids, large_gr
 def test_single_load_threshold_is_closed_form():
     # one load behind one line: A = [P/G_eff], tau* = 2 sqrt(A)
     A = np.array([[250.0]])
-    w, x, tau_dual = dual_ascent(A)
+    w, x, tau_dual = dual_ascent(A, np.ones(1))
     assert tau_dual == pytest.approx(2.0 * np.sqrt(250.0), rel=1e-15)
     np.testing.assert_allclose(x, np.sqrt(250.0), rtol=1e-15)
     assert np.sqrt(f_matrix(A, 1.0 / x).max()) == pytest.approx(tau_dual, rel=1e-15)
+
+
+def test_newton_matches_multiplicative_ascent(reference_grids, corpus, large_grids):
+    grids = reference_grids + [prepare(case.spec) for case in corpus] + large_grids
+    for grid in grids:
+        _, _, tau_dual = multiplicative_ascent(grid.A)
+        assert grid.tau_dual == pytest.approx(tau_dual, rel=1e-12)
+
+
+def test_twenty_newton_steps_close_the_gap(monkeypatch, corpus, large_grids):
+    specs = [case.spec for case in corpus] + [grid.spec for grid in large_grids]
+    monkeypatch.setattr(existence, "_ASCENT_CAP", 20)
+    for spec in specs:
+        grid = prepare(spec)
+        lower, upper = threshold_bounds(grid.A, grid.dual_weights, grid.primal_floor)
+        assert upper - lower <= existence._ASCENT_GAP * lower
+
+
+def test_newton_starts_from_the_necessary_threshold(monkeypatch, reference_grids, corpus,
+                                                    large_grids):
+    # at w = psi the dual bound is 2 sqrt(chi) = tau1; cap 0 returns it unchanged
+    specs = ([grid.spec for grid in reference_grids + large_grids]
+             + [case.spec for case in corpus])
+    monkeypatch.setattr(existence, "_ASCENT_CAP", 0)
+    for spec in specs:
+        grid = prepare(spec)
+        np.testing.assert_array_equal(grid.dual_weights, perron_start(grid))
+        assert grid.tau_dual == grid.tau_necessary
