@@ -2,8 +2,10 @@
 
 For each operating point we print the four reference-voltage thresholds,
 the dual bound below which no equilibrium exists and its relative gap to
-tau2, the equilibrium load voltages when one is certified, and the damping
-ceiling together with the closed-loop spectral abscissa.
+tau2, the equilibrium load voltages when one is certified, and the paper's
+damping bound b0 (the sufficient stability test holds for every b <= b0; it is
+a lower bound on the largest such b, not that b itself) together with the
+closed-loop spectral abscissa.
 
 Usage: python3 scripts/threshold_study.py
 """
@@ -43,7 +45,7 @@ def operating_point(spec, u_ref, P, label):
     with np.printoptions(precision=2, suppress=True):
         print(f"   u_load* = {cert.u_load} V   (residual {cert.residual:.2e})")
     report = analyze_stability(variant, cert.u_load)
-    print(f"   damping ceiling b0 = {report.b0:.4e} s, spec b = {variant.control.b:.1e} s")
+    print(f"   damping lower bound b0 = {report.b0:.4e} s, spec b = {variant.control.b:.1e} s")
     print(f"   abscissa = {report.abscissa:+.2f} 1/s -> {report.verdict}")
 
 

@@ -3,7 +3,9 @@
 Exit codes are part of the contract. analyze: 0 certified stable equilibrium,
 1 equilibrium exists but is unstable at the given b, 2 undetermined,
 3 necessary condition failed, 64 input error. simulate: 0 completed,
-10 collapsed (a result, not a failure), 64 input error. sweep: 0 on success.
+10 collapsed (a result, not a failure), 64 input error. sweep: 0 on success,
+64 input error. Any command exits 70 when a numerical step fails its own check
+on a valid input (a residual or definiteness test); stderr names the check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import certify, prepare
+from .existence import _DUAL_MARGIN, certify, prepare
 from .network import load_network
 from .simulate import load_scenario, simulate
 from .stability import analyze_stability
@@ -54,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = pw.add_mutually_exclusive_group(required=True)
     group.add_argument("--points", type=int)
     group.add_argument("--bisect", type=float, metavar="TOL",
-                       help="bisect the empirical solvability boundary (uref only)")
+                       help="report the certified solvability boundary (uref only)")
     pw.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; points run in order in one thread")
     pw.add_argument("--out", help="CSV output path (default: stdout)")
@@ -215,20 +217,22 @@ def cmd_sweep(args) -> int:
         for value in values:
             evaluate(value)
     else:
-        lo, hi = args.vmin, args.vmax
-        found_lo, found_hi = evaluate(lo), evaluate(hi)
-        if found_lo == found_hi:
+        found_lo, found_hi = evaluate(args.vmin), evaluate(args.vmax)
+        if found_lo or not found_hi:
             comments.append("# boundary not bracketed by the sweep range")
         else:
-            while hi - lo > args.bisect:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:  # lo and hi are adjacent doubles
-                    break
-                if evaluate(mid) == found_hi:
-                    hi = mid
-                else:
-                    lo = mid
+            # both ends come from the prepared certificate: at lo the dual
+            # weights rule out an equilibrium (the test `certify` applies),
+            # and at hi, just above tau2, the bracket certifies one
+            lo = max(args.vmin, grid.tau_dual * (1.0 - _DUAL_MARGIN))
+            hi = min(args.vmax, grid.tau_optimized * (1.0 + _DUAL_MARGIN))
+            evaluate(lo)
+            if not evaluate(hi):
+                hi = args.vmax
             comments.append(f"# boundary lo={lo:.10g} hi={hi:.10g}")
+            if hi - lo > args.bisect:
+                comments.append(f"# certified interval is wider than the tolerance "
+                                f"{args.bisect:g}")
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -253,7 +257,7 @@ def main(argv=None) -> int:
         return cmd_sweep(args)
     except (SpecError, OSError, DomainError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 64
+        return 70 if isinstance(exc, NumericalError) else 64
 
 
 if __name__ == "__main__":

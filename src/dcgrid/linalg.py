@@ -73,15 +73,18 @@ def perron(Y1: np.ndarray, P: np.ndarray) -> PerronPair:
     the largest eigenvalue of S and, with Z = Y1^-1 diag(sqrt P) and S y =
     chi y, eta = Z y / chi satisfies A eta = Z S y / chi = chi eta. Y1^-1 is
     entrywise positive and Z has exact zero columns where P_i = 0, so eta is
-    positive on every load, zero-power ones included. The pair is
-    residual-checked before it is returned.
+    positive on every load, zero-power ones included. S is averaged with its
+    transpose unchecked (the solve's asymmetry grows with cond(Y1), not with a
+    fault in the input); the residual and positivity check on A certifies the
+    pair, as a positive eigenvector of A >= 0 belongs to its spectral radius.
     """
     P = np.asarray(P, dtype=float)
     if P.shape != (Y1.shape[0],) or np.any(P < 0) or not np.any(P > 0):
         raise DomainError("expected one nonnegative power per load, not all zero")
     root = np.sqrt(P)
     Z = np.linalg.solve(Y1, np.diag(root))
-    vals, vecs = np.linalg.eigh(_symmetrize(root[:, None] * Z, "symmetrized load matrix"))
+    S = root[:, None] * Z
+    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
     chi = float(vals[-1])
     y = vecs[:, -1]
     eta = Z @ (y if y.sum() > 0 else -y)

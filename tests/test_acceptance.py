@@ -80,11 +80,10 @@ def test_sweep_bisection_localizes_solvability_boundary(table1_spec, tmp_path):
     boundary = [l for l in out.read_text().splitlines() if l.startswith("# boundary")]
     parts = dict(kv.split("=") for kv in boundary[0].split()[2:])
     lo, hi = float(parts["lo"]), float(parts["hi"])
-    assert 89.28 < lo < hi <= 89.64
-    assert hi - lo <= 0.02
-    # the empirical boundary sits at or below the certificate threshold
+    # the two ends enclose the exact threshold's two-sided certificate
     cert = certify(table1_spec)
-    assert hi <= cert.tau_optimized + 0.02
+    assert lo <= cert.tau_dual <= cert.tau_optimized <= hi
+    assert hi - lo <= 2.1e-9 * hi
 
 
 def test_damping_bounds(table1_spec):

@@ -3,8 +3,8 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dcgrid import cli
@@ -238,25 +238,34 @@ def test_sweep_bisection_unbracketed_range(tmp_path):
     assert "# boundary not bracketed" in out.read_text()
 
 
-def test_sweep_bisection_stops_at_adjacent_doubles(monkeypatch, capsys):
-    # a tolerance below the float spacing of the range ends on adjacent doubles
-    found, calls, original = {}, [], cli.certify
+def test_sweep_bisect_reads_certified_interval(monkeypatch, capsys):
+    # both ends come from the prepared certificate: a tolerance below the
+    # interval's width costs no extra evaluation, only a comment line
+    calls, original = [], cli.certify
 
     def certify(grid):
-        calls.append(grid)
-        if len(calls) > 200:
-            raise RuntimeError("bisection did not stop")
-        cert = original(grid)
-        found[grid.spec.control.u_ref] = cert.u_load is not None
-        return cert
+        calls.append(grid.spec.control.u_ref)
+        return original(grid)
 
     monkeypatch.setattr(cli, "certify", certify)
     assert main(["sweep", str(TABLE1), "--param", "uref",
                  "--min", "88", "--max", "91", "--bisect", "1e-20"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].startswith("# boundary lo=")
-    lo = max(u for u, ok in found.items() if not ok)
-    hi = min(u for u, ok in found.items() if ok)
-    assert hi == np.nextafter(lo, np.inf)
+    assert len(calls) <= 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("# boundary lo=")
+    assert lines[-1] == "# certified interval is wider than the tolerance 1e-20"
+    parts = dict(kv.split("=") for kv in lines[-2].split()[2:])
+    rows = {r.split(",")[1]: r.split(",")[3] for r in lines[1:-2]}
+    assert rows[parts["lo"]] == "False" and rows[parts["hi"]] == "True"
+
+
+def test_analyze_numerical_failure_exits_70(capsys):
+    # a valid grid whose Perron pair fails its residual check is not an input error
+    path = Path(__file__).resolve().parent / "data" / "wide_range_976.json"
+    assert main(["analyze", str(path)]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Perron pair failed its check" in captured.err
 
 
 def test_sweep_load_scale(tmp_path):

@@ -1,10 +1,13 @@
 """Reduction, the Perron pair, M-matrix test, and the quadratic eigensolver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, NumericalError, build_admittance, load_matrix,
-                    min_symmetric_eigenvalue, parse_network, perron, reduce_network)
+from dcgrid import (DomainError, NumericalError, analyze_stability, build_admittance,
+                    certify, load_matrix, load_network, min_symmetric_eigenvalue,
+                    parse_network, perron, prepare, reduce_network)
 from conftest import HEAVY, LIGHT, multiset_distance, random_grid_document
 from oracles import is_m_matrix, perron_on_support, solve_qep
 
@@ -76,6 +79,37 @@ def test_perron_large_grids(m):
     P = spec.p_vector()
     assert np.any(P == 0)
     assert_matches_oracle(reduce_network(build_admittance(spec), spec.k_diag()), P)
+
+
+# Grids drawn by conftest.random_grid_document(default_rng(5), n_max=4, m_max=12)
+# with every line r then every positive P redrawn log-uniformly over 1e-6..1e4
+# and 1e-6..1e6: Y1 has condition numbers up to 2e10, so the solve leaves
+# diag(sqrt P) Y1^-1 diag(sqrt P) asymmetric by up to 1.2e-9 of its largest entry.
+WIDE_RANGE = Path(__file__).resolve().parent / "data"
+WIDE_RANGE_PERRON = (116, 1122, 1666, 2915)
+
+
+@pytest.mark.parametrize("draw", WIDE_RANGE_PERRON)
+def test_perron_ill_conditioned_reduction(draw):
+    spec = load_network(WIDE_RANGE / f"wide_range_{draw}.json")
+    Y1, P = reduce_network(build_admittance(spec), spec.k_diag()), spec.p_vector()
+    pair = perron(Y1, P)
+    chi, eta = perron_on_support(load_matrix(Y1, P), P)
+    assert pair.chi == pytest.approx(chi, rel=1e-8)
+    np.testing.assert_allclose(pair.eta, eta, rtol=1e-6, atol=0)
+    grid = prepare(spec)
+    above = grid.with_uref((1 + 1e-6) * grid.tau_dual)
+    cert = certify(above)
+    assert cert.verdict == "certified-exists"
+    assert analyze_stability(above, cert.u_load).verdict == "stable"
+    assert certify(grid.with_uref((1 - 1e-6) * grid.tau_dual)).verdict == "undetermined"
+
+
+def test_perron_ill_conditioned_residual_raises():
+    # the symmetric solve is accepted; the residual check on A then rejects the pair
+    spec = load_network(WIDE_RANGE / "wide_range_976.json")
+    with pytest.raises(NumericalError, match="Perron pair failed its check"):
+        perron(reduce_network(build_admittance(spec), spec.k_diag()), spec.p_vector())
 
 
 def test_perron_failed_residual_raises(table1_reduced, monkeypatch):

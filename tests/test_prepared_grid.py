@@ -1,4 +1,4 @@
-"""One prepared grid per command: sweeps and bisection reuse its thresholds.
+"""One prepared grid per command: sweeps and --bisect reuse its thresholds.
 
 The oracles here certify every point from scratch, as a fresh `certify` of
 the varied spec, and format the rows the way the sweep CSV does.
@@ -14,6 +14,7 @@ import dcgrid
 from dcgrid import (DomainError, analyze_stability, build_admittance, certify,
                     dual_ascent, prepare)
 from dcgrid.cli import main
+from dcgrid.existence import _DUAL_MARGIN
 from conftest import LIGHT, TABLE1, variant
 
 HEADER = ("param,value,verdict,root_found,tau_necessary,tau_optimized,"
@@ -54,26 +55,16 @@ def test_sweep_rows_match_fresh_certificates(table1_spec, tmp_path, param, lo, h
     assert text == "\n".join([HEADER, *rows]) + "\n"
 
 
-def test_bisection_matches_fresh_certificates(table1_spec, tmp_path):
-    lo, hi, tol = 89.28, 89.64, 0.02
-    text = run_sweep(tmp_path, "--param", "uref", "--min", str(lo), "--max", str(hi),
-                     "--bisect", str(tol))
-    rows = {}
-
-    def evaluate(value):
-        rows[value], found = fresh_row(table1_spec, "uref", value)
-        return found
-
-    found_hi = evaluate(hi)
-    assert evaluate(lo) != found_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid) == found_hi:
-            hi = mid
-        else:
-            lo = mid
-    expected = [HEADER, *(rows[v] for v in sorted(rows)),
-                f"# boundary lo={lo:.10g} hi={hi:.10g}"]
+def test_bisect_ends_match_fresh_certificates(table1_spec, tmp_path):
+    vmin, vmax = 89.28, 89.64
+    text = run_sweep(tmp_path, "--param", "uref", "--min", str(vmin), "--max", str(vmax),
+                     "--bisect", "0.02")
+    grid = prepare(table1_spec)
+    lo = max(vmin, grid.tau_dual * (1 - _DUAL_MARGIN))
+    hi = min(vmax, grid.tau_optimized * (1 + _DUAL_MARGIN))
+    rows = [fresh_row(table1_spec, "uref", v) for v in (vmin, lo, hi, vmax)]
+    assert [found for _, found in rows] == [False, False, True, True]
+    expected = [HEADER, *(row for row, _ in rows), f"# boundary lo={lo:.10g} hi={hi:.10g}"]
     assert text == "\n".join(expected) + "\n"
 
 

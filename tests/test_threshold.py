@@ -159,3 +159,17 @@ def test_newton_starts_from_the_necessary_threshold(monkeypatch, reference_grids
         grid = prepare(spec)
         np.testing.assert_array_equal(grid.dual_weights, perron_start(grid))
         assert grid.tau_dual == grid.tau_necessary
+
+
+def test_certified_interval_ends_have_definite_verdicts(corpus, large_grids):
+    # the two points `sweep --bisect` evaluates: no root just below the dual
+    # bound, a root just above tau2, and they stay apart in the CSV's %.10g
+    ladder = [prepare(parse_network(random_grid_document(np.random.default_rng(1000 + m), m=m)))
+              for m in (6, 12, 24, 48)]
+    grids = [prepare(case.spec) for case in corpus] + ladder + large_grids
+    for grid in grids:
+        lo = grid.tau_dual * (1 - existence._DUAL_MARGIN)
+        hi = grid.tau_optimized * (1 + existence._DUAL_MARGIN)
+        assert certify(grid.with_uref(lo)).u_load is None
+        assert certify(grid.with_uref(hi)).u_load is not None
+        assert f"{lo:.10g}" != f"{hi:.10g}"
