@@ -5,8 +5,9 @@ plain numpy arrays and is pure; inputs are never mutated. `reduce_network`
 returns the load-side matrix Y1, which depends on the line conductances and
 the droop gains only. `_solve_balance` is the one Newton solver for the
 constant-power balance u_i (c + Y u)_i = -P_i: existence finds the
-high-voltage equilibrium with it, and the simulator pins the load voltages
-with it at every Runge-Kutta stage.
+high-voltage equilibrium with it, and the simulator's load flow falls back
+on it when its chord steps (Newton steps on a cached inverse Jacobian)
+stall.
 """
 
 from __future__ import annotations

@@ -11,20 +11,22 @@ the exact constant-power constraint u_i (Y_LS u_S + Y_LL u_L)_i = -P_i
 (index-1 DAE, no fictitious load capacitance). Given u_L the dynamics are
 linear: with x = (i_L, u_S) every Runge-Kutta stage derivative is
 dx = M x + N u_L + e, with M, N and e built once per event-free phase. A step
-runs 4 load flows (the warm-started Newton solver `linalg._solve_balance`):
-one for each of stages 2-4 and one at the step's end. Stage 1 sits at the
-state where the previous flow already balanced the loads, so it reuses that
-u_L. A scenario that schedules
+runs 4 load flows: one for each of stages 2-4 and one at the step's end.
+Stage 1 sits at the state where the previous flow already balanced the
+loads, so it reuses that u_L. Each flow (`_LoadFlow`) warm-starts from the
+previous one and takes chord steps on an inverse Jacobian cached across
+flows; when the chord stalls it falls back to the Newton solver
+`linalg._solve_balance` from the same warm start. A scenario that schedules
 an activate-cpl event starts with the loads open (P = 0, linear solve) until
 the event fires; otherwise loads draw power from t = 0. A source with
 k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
 the virtual inductor remains.
 
-Collapse is detected by load-flow Newton failure (the power balance lost its
-real root near the previous solution) or any load voltage at or below 1 V,
-and is reported at the last time every load was balanced above that floor:
-the start of the step whose stage or end-of-step flow failed, or the event
-time when re-pinning the loads after an event fails.
+Collapse is detected by the failure of that Newton fallback (the power
+balance lost its real root near the previous solution) or any load voltage
+at or below 1 V, and is reported at the last time every load was balanced
+above that floor: the start of the step whose stage or end-of-step flow
+failed, or the event time when re-pinning the loads after an event fails.
 
 Scenario files extend the grid document with::
 
@@ -63,6 +65,7 @@ _DEFAULT_DT = 1e-6
 _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
 _CSV_BLOCK = 1024              # trace rows formatted per write
+_CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
@@ -192,15 +195,83 @@ def _load_tol(P):
     return 1e-9 * np.maximum(P, 1.0) if P.any() else None
 
 
-def _load_flow(u_S, P, tol, partition, warm):
-    """Load voltages that balance P at source voltages u_S; returns (u_L, converged).
+def _within(r, tol):
+    """Every |r_i| <= tol_i. On vectors this short, a list beats ndarray.all()."""
+    return all((np.abs(r) <= tol).tolist())
 
-    `tol` is `_load_tol(P)`: with every load open the balance is linear.
+
+def _above(u, floor):
+    return all((u > floor).tolist())
+
+
+class _LoadFlow:
+    """The simulator's load flow: chord steps on a cached inverse Jacobian,
+    with the Newton solver `_solve_balance` behind them.
+
+    A chord step is a Newton step that reuses J^-1, the inverse of the
+    balance's Jacobian diag(c + Y u) + diag(u) Y at an earlier root. At
+    dt = 1e-5 that Jacobian barely moves between Runge-Kutta stages, so one
+    chord step (a matvec) usually does the work of a Newton step (a solve).
+    One object serves one `simulate` call and keeps J^-1 across its flows.
     """
-    c = partition.Y_LS @ u_S
-    if tol is None:
-        return np.linalg.solve(partition.Y_LL, -c), True
-    return _solve_balance(c, partition.Y_LL, P, warm, tol)
+
+    def __init__(self, partition: AdmittancePartition):
+        self._Y_LS = partition.Y_LS
+        self._Y = partition.Y_LL
+        self._J_inv = None
+
+    def solve(self, u_S, P, tol, warm):
+        """Load voltages that balance P at source voltages u_S; returns (u_L, converged).
+
+        `tol` is `_load_tol(P)`: with every load open the balance is linear.
+        Converged means every |u_i (c + Y u)_i + P_i| <= tol_i and u > 0, as
+        in `_solve_balance`. A warm start that passes is returned as is.
+        Otherwise at most _CHORD_STEPS chord steps run, and the first iterate
+        that passes gets one more chord step, kept if it passes too: a chord
+        iterate tends to land just inside the bound, where Newton's quadratic
+        step lands far inside it, and the extra step restores that accuracy.
+        A chord that stalls (no pass within _CHORD_STEPS steps) or leaves
+        the positive orthant hands over to Newton from the same warm start,
+        so collapse still means that Newton from the warm start fails. J^-1
+        is refreshed at the root when the chord needed two or more steps or
+        Newton found the root. (`ndarray.dot` skips the dispatch of `@`,
+        which on vectors this short costs as much as the product itself.)
+        """
+        Y = self._Y
+        c = self._Y_LS.dot(u_S)
+        if tol is None:
+            return np.linalg.solve(Y, -c), True
+        r = warm * (c + Y.dot(warm)) + P
+        if _within(r, tol):
+            return warm, True
+        J_inv = self._J_inv
+        if J_inv is not None:
+            u = warm
+            for step in range(_CHORD_STEPS):
+                u = u - J_inv.dot(r)
+                if not _above(u, 0.0):
+                    break
+                current = c + Y.dot(u)
+                r = u * current + P
+                if _within(r, tol):
+                    extra = u - J_inv.dot(r)
+                    if _above(extra, 0.0):
+                        extra_current = c + Y.dot(extra)
+                        if _within(extra * extra_current + P, tol):
+                            u, current = extra, extra_current
+                    if step:
+                        self._refresh(u, current)
+                    return u, True
+        u, ok = _solve_balance(c, Y, P, warm, tol)
+        if ok:
+            self._refresh(u, c + Y.dot(u))
+        return u, ok
+
+    def _refresh(self, u, current):
+        try:
+            self._J_inv = np.linalg.inv(np.diag(current) + u[:, None] * self._Y)
+        except np.linalg.LinAlgError:
+            self._J_inv = None
 
 
 def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
@@ -214,7 +285,11 @@ def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
     u_S = np.asarray(u_S, dtype=float)
     P = np.asarray(P, dtype=float)
     warm = np.asarray(warm_start, dtype=float)
-    u, ok = _load_flow(u_S, P, _load_tol(P), partition, warm)
+    c = partition.Y_LS @ u_S
+    tol = _load_tol(P)
+    if tol is None:
+        return np.linalg.solve(partition.Y_LL, -c)
+    u, ok = _solve_balance(c, partition.Y_LL, P, warm, tol)
     if not ok:
         raise NumericalError("load power balance has no solution near the warm start")
     return u
@@ -301,15 +376,16 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
     i_L = (np.asarray(scenario.i_inductor0, dtype=float) if scenario.i_inductor0 is not None
            else np.zeros(n))
     x = np.concatenate([i_L, u_S])
-    u_L, ok = _load_flow(u_S, phase.P, phase.tol, partition, u_ref * np.ones(m))
+    load_flow = _LoadFlow(partition).solve
+    u_L, ok = load_flow(u_S, phase.P, phase.tol, u_ref * np.ones(m))
     if not ok:
         raise SpecError("initial state admits no load-flow solution", field="scenario")
 
-    # one row per sample: t | u_L | i_L | u_S | i_S. The size allows for each
+    # one row per sample: t | u_L | i_L | u_S. The size allows for each
     # event splitting a step and each stretch between events ending in a
     # round-off step; the buffer still grows should round-off add more
     samples = np.empty(((total_steps + 2 * len(events) + 1) // decimation + 2,
-                        1 + m + 3 * n))
+                        1 + m + 2 * n))
     count = 0
 
     def record(time):
@@ -319,16 +395,17 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
         row = samples[count]
         row[0] = time
         row[1:1 + m] = u_L
-        row[1 + m:1 + m + 2 * n] = x
-        row[1 + m + 2 * n:] = partition.Y_SS @ x[n:] + partition.Y_SL @ u_L
+        row[1 + m:] = x
         count += 1
 
     def finish(termination, collapse_time=None, node=None):
         kept = samples[:count]
+        u_load, u_source = kept[:, 1:1 + m], kept[:, 1 + m + n:]
         return SimulationTrace(
-            t=kept[:, 0], u_load=kept[:, 1:1 + m],
-            u_source=kept[:, 1 + m + n:1 + m + 2 * n], i_inductor=kept[:, 1 + m:1 + m + n],
-            i_source=kept[:, 1 + m + 2 * n:],
+            t=kept[:, 0], u_load=u_load, u_source=u_source,
+            i_inductor=kept[:, 1 + m:1 + m + n],
+            # i_S = Y_SS u_S + Y_SL u_L, all samples in one product
+            i_source=np.hstack([u_source, u_load]) @ partition.Y[:n].T,
             events=tuple(applied), termination=termination,
             collapse_time=collapse_time, collapse_node=node,
             load_ids=load_ids, source_ids=tuple(s.id for s in spec.sources))
@@ -345,19 +422,19 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
             # previous stage's solution, which also names the node when that
             # solve fails
             warm = u_L
-            dx = phase.M @ x + phase.N @ warm + phase.e
+            dx = phase.M.dot(x) + phase.N.dot(warm) + phase.e
             dx_sum = dx
             for node, weight in _RK4_STAGES[1:]:
                 x_stage = x + node * h * dx
-                warm_next, ok = _load_flow(x_stage[n:], phase.P, phase.tol, partition, warm)
+                warm_next, ok = load_flow(x_stage[n:], phase.P, phase.tol, warm)
                 if not ok:
                     return finish("collapsed", t, load_ids[int(np.argmin(warm))])
                 warm = warm_next
-                dx = phase.M @ x_stage + phase.N @ warm + phase.e
+                dx = phase.M.dot(x_stage) + phase.N.dot(warm) + phase.e
                 dx_sum = dx_sum + weight * dx
             x = x + (h / 6.0) * dx_sum
-            u_next, ok = _load_flow(x[n:], phase.P, phase.tol, partition, warm)
-            if not ok or (u_next <= _COLLAPSE_FLOOR).any():
+            u_next, ok = load_flow(x[n:], phase.P, phase.tol, warm)
+            if not ok or not _above(u_next, _COLLAPSE_FLOOR):
                 node = load_ids[int(np.argmin(u_next if ok else warm))]
                 return finish("collapsed", t, node)
             t += h
@@ -371,7 +448,7 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
             phase.apply(ev)
             applied.append((ev.t, ev.describe()))
             # re-pin the algebraic variable under the new load constraint
-            u_L, ok = _load_flow(x[n:], phase.P, phase.tol, partition, u_L)
+            u_L, ok = load_flow(x[n:], phase.P, phase.tol, u_L)
             if not ok:
                 return finish("collapsed", t, load_ids[int(np.argmin(u_L))])
 

