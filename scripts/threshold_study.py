@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dcgrid import analyze_stability, certify, load_network
+from dcgrid import analyze_stability, certify, load_network, prepare
 
 GRID = pathlib.Path(__file__).resolve().parents[1] / "examples" / "paper_table1.json"
 
@@ -29,8 +29,8 @@ HEAVY = [2000.0, 2000.0, 2000.0, 1500.0, 1500.0, 1500.0]
 def operating_point(spec, u_ref, P, label):
     loads = tuple(dataclasses.replace(l, P=p) for l, p in zip(spec.loads, P))
     control = dataclasses.replace(spec.control, u_ref=u_ref)
-    variant = dataclasses.replace(spec, loads=loads, control=control)
-    cert = certify(variant)
+    grid = prepare(dataclasses.replace(spec, loads=loads, control=control))
+    cert = certify(grid)
     print(f"\n== {label}: u_ref = {u_ref:.2f} V, total load = {sum(P):.0f} W ==")
     print(f"   tau1 (necessary)     = {cert.tau_necessary:9.4f} V")
     print(f"   tau2 (optimized)     = {cert.tau_optimized:9.4f} V")
@@ -44,8 +44,8 @@ def operating_point(spec, u_ref, P, label):
         return
     with np.printoptions(precision=2, suppress=True):
         print(f"   u_load* = {cert.u_load} V   (residual {cert.residual:.2e})")
-    report = analyze_stability(variant, cert.u_load)
-    print(f"   damping lower bound b0 = {report.b0:.4e} s, spec b = {variant.control.b:.1e} s")
+    report = analyze_stability(grid, cert.u_load)
+    print(f"   damping lower bound b0 = {report.b0:.4e} s, spec b = {grid.spec.control.b:.1e} s")
     print(f"   abscissa = {report.abscissa:+.2f} 1/s -> {report.verdict}")
 
 

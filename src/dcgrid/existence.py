@@ -57,7 +57,6 @@ __all__ = [
     "Bracket",
     "PreparedGrid",
     "Thresholds",
-    "load_matrix",
     "f_matrix",
     "dual_ascent",
     "analytic_thresholds",
@@ -132,32 +131,26 @@ class PreparedGrid(Thresholds):
     def scaled(self, s: float) -> PreparedGrid:
         """The same grid with every load power multiplied by s >= 0.
 
-        A becomes s*A, so the Perron vector and both weight vectors are
-        unchanged, the primal floor x becomes sqrt(s)*x, and every threshold
-        is sqrt(s) times the unscaled one. A itself is rebuilt
-        from the scaled powers, so `certify` still checks the bracket on the
-        actual matrix rather than assuming it.
+        A = Y1^-1 diag(P) is linear in P, so it becomes s*A with no solve:
+        the Perron vector and both weight vectors are unchanged, the primal
+        floor x becomes sqrt(s)*x, and every threshold is sqrt(s) times the
+        unscaled one. `certify` still verifies the bracket numerically on
+        s*A rather than assuming it.
         """
         if s < 0:
             raise DomainError("load scale must be nonnegative")
         loads = tuple(LoadNode(id=l.id, P=l.P * s) for l in self.spec.loads)
         spec = dataclasses.replace(self.spec, loads=loads)
-        P = spec.p_vector()
         root = float(np.sqrt(s))
         pair = None if self.pair is None else PerronPair(chi=self.pair.chi * s,
                                                          eta=self.pair.eta)
         return dataclasses.replace(
-            self, spec=spec, P=P, A=load_matrix(self.Y1, P), pair=pair,
+            self, spec=spec, P=spec.p_vector(), A=s * self.A, pair=pair,
             tau_necessary=self.tau_necessary * root,
             tau_optimized=self.tau_optimized * root,
             tau_perron_vector=self.tau_perron_vector * root,
             tau_contraction=self.tau_contraction * root,
             tau_dual=self.tau_dual * root, primal_floor=self.primal_floor * root)
-
-
-def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """A = Y1^-1 diag(P), the entrywise-nonnegative matrix driving everything."""
-    return np.linalg.solve(Y1, np.diag(np.asarray(P, dtype=float)))
 
 
 def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -321,18 +314,19 @@ def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
 
 
 def prepare(spec: NetworkSpec) -> PreparedGrid:
-    """The once-per-grid stage of `certify`: reduction, A, Perron pair, tau1-tau4, w, x."""
+    """The once-per-grid stage of `certify`: reduction, Y1^-1, A, Perron pair, tau1-tau4, w, x."""
     partition = build_admittance(spec)  # re-asserts connectivity
     Y1 = reduce_network(partition, spec.k_diag())
     P = spec.p_vector()
-    A = load_matrix(Y1, P)
+    Y1_inv = np.linalg.inv(Y1)  # the one factorization of Y1 per grid
+    A = Y1_inv * P              # Y1^-1 diag(P), exact zero columns where P = 0
     if np.all(P == 0):
         return PreparedGrid(
             spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=None,
             tau_necessary=0.0, tau_optimized=0.0, tau_perron_vector=0.0,
             tau_contraction=0.0, tau_dual=0.0, q_weights=np.ones(spec.m),
             dual_weights=np.full(spec.m, 1.0 / spec.m), primal_floor=np.zeros(spec.m))
-    pair = perron(Y1, P)
+    pair = perron(Y1_inv, P)
     # tau1 = 2 sqrt(chi) as the dual bound at w = psi, the left Perron vector
     # P*eta summing to 1, where dual_ascent starts: evaluated on A itself it
     # equals tau_dual bit for bit before the first Newton step, so on a grid

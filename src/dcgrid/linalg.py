@@ -67,23 +67,25 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray) -> np.ndarray:
     return _symmetrize(Y1, "reduced matrix")
 
 
-def perron(Y1: np.ndarray, P: np.ndarray) -> PerronPair:
-    """Perron root and unit Perron vector of A = Y1^-1 diag(P), from a symmetric solve.
+def perron(Y1_inv: np.ndarray, P: np.ndarray) -> PerronPair:
+    """Perron root and unit Perron vector of A = Y1^-1 diag(P), from a symmetric eigen-solve.
 
-    A is diagonally similar to S = diag(sqrt P) Y1^-1 diag(sqrt P), so chi is
-    the largest eigenvalue of S and, with Z = Y1^-1 diag(sqrt P) and S y =
-    chi y, eta = Z y / chi satisfies A eta = Z S y / chi = chi eta. Y1^-1 is
-    entrywise positive and Z has exact zero columns where P_i = 0, so eta is
-    positive on every load, zero-power ones included. S is averaged with its
-    transpose unchecked (the solve's asymmetry grows with cond(Y1), not with a
-    fault in the input); the residual and positivity check on A certifies the
-    pair, as a positive eigenvector of A >= 0 belongs to its spectral radius.
+    Y1_inv is Y1^-1, which `existence.prepare` forms once per grid. A is
+    diagonally similar to S = diag(sqrt P) Y1^-1 diag(sqrt P), so chi is the
+    largest eigenvalue of S and, with the column scaling Z = Y1^-1 diag(sqrt P)
+    and S y = chi y, eta = Z y / chi satisfies A eta = Z S y / chi = chi eta.
+    Y1^-1 is entrywise positive and Z has exact zero columns where P_i = 0, so
+    eta is positive on every load, zero-power ones included. S is averaged
+    with its transpose unchecked (the inverse's asymmetry grows with
+    cond(Y1), not with a fault in the input); the residual and positivity
+    check on A certifies the pair, as a positive eigenvector of A >= 0
+    belongs to its spectral radius.
     """
     P = np.asarray(P, dtype=float)
-    if P.shape != (Y1.shape[0],) or np.any(P < 0) or not np.any(P > 0):
+    if P.shape != (Y1_inv.shape[0],) or np.any(P < 0) or not np.any(P > 0):
         raise DomainError("expected one nonnegative power per load, not all zero")
     root = np.sqrt(P)
-    Z = np.linalg.solve(Y1, np.diag(root))
+    Z = Y1_inv * root
     S = root[:, None] * Z
     vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
     chi = float(vals[-1])

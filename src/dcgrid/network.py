@@ -106,8 +106,6 @@ class AdmittancePartition(Record):
     Y_SL: np.ndarray
     Y_LS: np.ndarray
     Y_LL: np.ndarray
-    source_index: dict
-    load_index: dict
 
 
 def _require(cond, message, field):
@@ -263,6 +261,4 @@ def build_admittance(spec: NetworkSpec) -> AdmittancePartition:
         Y_SL=Y[:n, n:].copy(),
         Y_LS=Y[n:, :n].copy(),
         Y_LL=Y[n:, n:].copy(),
-        source_index={s.id: i for i, s in enumerate(spec.sources)},
-        load_index={l.id: n + i for i, l in enumerate(spec.loads)},
     )

@@ -17,10 +17,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from dcgrid.existence import (analytic_thresholds, bracket, dual_ascent, f_matrix,
-                              fixed_point_solve, load_matrix)
+                              fixed_point_solve)
 from dcgrid.linalg import perron, reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
-from oracles import open_circuit
+from oracles import load_matrix, open_circuit
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 TABLE1 = EXAMPLES / "paper_table1.json"
@@ -120,7 +120,7 @@ class Case:
         Y1 = reduce_network(partition, spec.k_diag())
         P = spec.p_vector()
         A = load_matrix(Y1, P)
-        pair = perron(Y1, P)
+        pair = perron(np.linalg.inv(Y1), P)
         tau1 = 2.0 * np.sqrt(pair.chi)
         tau3, tau4 = analytic_thresholds(A, pair)
         _, x, _ = dual_ascent(A, P * pair.eta / np.dot(P, pair.eta))

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against.
 
-`f_pair` is the scalar form of `dcgrid.existence.f_matrix`,
+`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `load_matrix`
+is the solve-based `A` that `dcgrid.prepare` forms from one inverse of Y1,
 `perron_on_support` is the general-matrix eigen-solve that `dcgrid.perron`
 must agree with, `open_circuit` gives the source injection and the
 open-circuit voltage of the reduction, `is_m_matrix` decides the M-matrix
@@ -44,6 +45,11 @@ def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
     if bij + bji <= 2.0 * peak:
         return 4.0 * peak
     return (bij - bji) ** 2 / (bij + bji - si - sj)
+
+
+def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """A = Y1^-1 diag(P) by a linear solve, the reference for `PreparedGrid.A`."""
+    return np.linalg.solve(Y1, np.diag(np.asarray(P, dtype=float)))
 
 
 def open_circuit(partition, k, u_ref) -> tuple[np.ndarray, np.ndarray]:

@@ -329,6 +329,22 @@ def test_console_entry_point():
     assert "certified-exists" in proc.stdout
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["analyze", str(TABLE1)], "table1_analyze.txt"),
+    (["sweep", str(TABLE1), "--param", "uref", "--min", "88", "--max", "91",
+      "--points", "25"], "table1_sweep_uref.csv"),
+    (["sweep", str(TABLE1), "--param", "load", "--min", "0.5", "--max", "2.0",
+      "--points", "16"], "table1_sweep_load.csv"),
+], ids=["analyze", "sweep-uref", "sweep-load"])
+def test_readme_commands_match_golden_stdout(argv, golden, capsys):
+    # the README's analyze and --points sweep commands, byte for byte
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
 _WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None  # from here on, importing scipy or any submodule fails

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
-                    certify, f_matrix, fixed_point_solve, load_matrix,
+                    certify, f_matrix, fixed_point_solve,
                     min_symmetric_eigenvalue, perron, prepare, reduce_network)
 from dcgrid.existence import _F, _residual, analytic_thresholds
 from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
-from oracles import f_pair, multistart_newton, optimize_weights
+from oracles import f_pair, load_matrix, multistart_newton, optimize_weights
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
@@ -27,12 +27,12 @@ def light(table1_spec, table1_reduced):
     return table1_spec, table1_reduced, A
 
 
-def test_load_matrix_nonnegative_with_zero_columns(table1_reduced):
+def test_load_matrix_nonnegative_with_zero_columns(table1_spec):
     P = np.array([1000.0, 0.0, 1000.0, 500.0, 0.0, 500.0])
-    A = load_matrix(table1_reduced.Y1, P)
+    A = prepare(variant(table1_spec, P=P)).A
     assert np.all(A >= 0)
-    np.testing.assert_allclose(A[:, 1], 0.0)
-    np.testing.assert_allclose(A[:, 4], 0.0)
+    np.testing.assert_array_equal(A[:, 1], 0.0)
+    np.testing.assert_array_equal(A[:, 4], 0.0)
     assert np.all(A[:, P > 0] > 0)
 
 
@@ -76,7 +76,7 @@ def test_f_pair_rejects_bad_weights(light):
 
 def test_optimizer_light_profile(light, table1_spec):
     spec, reduced, A = light
-    q, tau2 = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
+    q, tau2 = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
     assert q.max() == pytest.approx(1.0)
     assert 89.2769 <= tau2 <= 89.64
     # lands on the same weights the reference implementation reports
@@ -87,14 +87,14 @@ def test_optimizer_light_profile(light, table1_spec):
 
 def test_analytic_thresholds_light(light):
     _, reduced, A = light
-    tau3, tau4 = analytic_thresholds(A, perron(reduced.Y1, LIGHT))
+    tau3, tau4 = analytic_thresholds(A, perron(np.linalg.inv(reduced.Y1), LIGHT))
     assert tau3 == pytest.approx(90.5966, abs=1e-3)
     assert tau4 == pytest.approx(92.1933, abs=1e-3)
 
 
 def test_bracket_feasible_at_reference_point(light):
     spec, reduced, A = light
-    q, _ = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
+    q, _ = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
     brk = bracket(q, 89.64, A)
     assert brk is not None
     np.testing.assert_allclose(brk.high, 89.64)
@@ -113,7 +113,7 @@ def test_bracket_feasible_at_reference_point(light):
 
 def test_bracket_infeasible_below_threshold(light):
     _, reduced, A = light
-    q, tau2 = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
+    q, tau2 = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
     assert bracket(q, 89.6, A) is None
     assert bracket(q, 0.99 * tau2, A) is None
     with pytest.raises(DomainError):
@@ -124,7 +124,7 @@ def test_bracket_infeasible_below_threshold(light):
 
 def test_fixed_point_light_equilibrium(light):
     spec, reduced, A = light
-    q, _ = optimize_weights(A, perron(reduced.Y1, LIGHT).eta)
+    q, _ = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
     brk = bracket(q, 89.64, A)
     u, res = fixed_point_solve(89.64, reduced.Y1, LIGHT, brk)
     assert np.max(np.abs(u - U_STAR_LIGHT)) <= 0.05

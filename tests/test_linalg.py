@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dcgrid import (DomainError, NumericalError, analyze_stability, build_admittance,
-                    certify, load_matrix, load_network, min_symmetric_eigenvalue,
+                    certify, load_network, min_symmetric_eigenvalue,
                     parse_network, perron, prepare, reduce_network)
 from conftest import HEAVY, LIGHT, multiset_distance, random_grid_document
-from oracles import is_m_matrix, perron_on_support, solve_qep
+from oracles import is_m_matrix, load_matrix, perron_on_support, solve_qep
 
 # reduced load-side matrix for the reference grid, published to 3-4 digits
 Y1_REFERENCE = np.array([
@@ -47,7 +47,7 @@ def test_reduced_matrix_is_an_m_matrix(table1_reduced):
 
 
 def assert_matches_oracle(Y1, P):
-    pair = perron(Y1, P)
+    pair = perron(np.linalg.inv(Y1), P)
     chi, eta = perron_on_support(load_matrix(Y1, P), P)
     assert pair.chi == pytest.approx(chi, rel=1e-12)
     np.testing.assert_allclose(pair.eta, eta, rtol=1e-12, atol=0)
@@ -83,8 +83,9 @@ def test_perron_large_grids(m):
 
 # Grids drawn by conftest.random_grid_document(default_rng(5), n_max=4, m_max=12)
 # with every line r then every positive P redrawn log-uniformly over 1e-6..1e4
-# and 1e-6..1e6: Y1 has condition numbers up to 2e10, so the solve leaves
-# diag(sqrt P) Y1^-1 diag(sqrt P) asymmetric by up to 1.2e-9 of its largest entry.
+# and 1e-6..1e6: Y1 has condition numbers up to 2e10, so the computed inverse
+# leaves diag(sqrt P) Y1^-1 diag(sqrt P) asymmetric by up to 1.5e-9 of its
+# largest entry.
 WIDE_RANGE = Path(__file__).resolve().parent / "data"
 WIDE_RANGE_PERRON = (116, 1122, 1666, 2915)
 
@@ -93,7 +94,7 @@ WIDE_RANGE_PERRON = (116, 1122, 1666, 2915)
 def test_perron_ill_conditioned_reduction(draw):
     spec = load_network(WIDE_RANGE / f"wide_range_{draw}.json")
     Y1, P = reduce_network(build_admittance(spec), spec.k_diag()), spec.p_vector()
-    pair = perron(Y1, P)
+    pair = perron(np.linalg.inv(Y1), P)
     chi, eta = perron_on_support(load_matrix(Y1, P), P)
     assert pair.chi == pytest.approx(chi, rel=1e-8)
     np.testing.assert_allclose(pair.eta, eta, rtol=1e-6, atol=0)
@@ -106,23 +107,24 @@ def test_perron_ill_conditioned_reduction(draw):
 
 
 def test_perron_ill_conditioned_residual_raises():
-    # the symmetric solve is accepted; the residual check on A then rejects the pair
+    # the symmetric eigen-solve is accepted; the residual check on A then rejects the pair
     spec = load_network(WIDE_RANGE / "wide_range_976.json")
+    Y1 = reduce_network(build_admittance(spec), spec.k_diag())
     with pytest.raises(NumericalError, match="Perron pair failed its check"):
-        perron(reduce_network(build_admittance(spec), spec.k_diag()), spec.p_vector())
+        perron(np.linalg.inv(Y1), spec.p_vector())
 
 
 def test_perron_failed_residual_raises(table1_reduced, monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda S: (1.01 * eigh(S)[0], eigh(S)[1]))
     with pytest.raises(NumericalError, match="residual"):
-        perron(table1_reduced.Y1, LIGHT)
+        perron(np.linalg.inv(table1_reduced.Y1), LIGHT)
 
 
 def test_perron_rejects_bad_powers(table1_reduced):
     for P in (np.zeros(6), -LIGHT, np.ones(5)):
         with pytest.raises(DomainError):
-            perron(table1_reduced.Y1, P)
+            perron(np.linalg.inv(table1_reduced.Y1), P)
 
 
 def test_m_matrix_classification():

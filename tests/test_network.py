@@ -107,12 +107,12 @@ def test_admittance_is_a_laplacian(table1_partition):
     assert np.all(off <= 0)
 
 
-def test_partition_blocks_match_ordering(table1_partition):
+def test_partition_blocks_match_ordering(table1_spec, table1_partition):
+    # node order: the sources in document order, then the loads
     p = table1_partition
-    assert p.source_index == {"1": 0, "2": 1, "3": 2, "4": 3}
-    assert p.load_index == {"5": 4, "6": 5, "7": 6, "8": 7, "9": 8, "10": 9}
-    src = list(p.source_index.values())
-    lod = list(p.load_index.values())
+    assert [s.id for s in table1_spec.sources] == ["1", "2", "3", "4"]
+    assert [l.id for l in table1_spec.loads] == ["5", "6", "7", "8", "9", "10"]
+    src, lod = range(4), range(4, 10)
     np.testing.assert_allclose(p.Y[np.ix_(src, src)], p.Y_SS)
     np.testing.assert_allclose(p.Y[np.ix_(src, lod)], p.Y_SL)
     np.testing.assert_allclose(p.Y_SL, p.Y_LS.T)

@@ -15,7 +15,8 @@ from dcgrid import (DomainError, analyze_stability, build_admittance, certify,
                     dual_ascent, prepare)
 from dcgrid.cli import main
 from dcgrid.existence import _DUAL_MARGIN
-from conftest import LIGHT, TABLE1, variant
+from conftest import LIGHT, TABLE1, random_grid_document, variant
+from oracles import load_matrix
 
 HEADER = ("param,value,verdict,root_found,tau_necessary,tau_optimized,"
           "tau_perron_vector,tau_contraction,abscissa,stable")
@@ -127,6 +128,54 @@ def test_one_admittance_build_per_analyze(monkeypatch):
     calls = count_calls(monkeypatch, build_admittance)
     assert main(["analyze", str(TABLE1)]) == 0
     assert len(calls) == 1
+
+
+def count_factorizations(monkeypatch):
+    """The matrices passed to np.linalg.solve and np.linalg.inv, in call order."""
+    matrices = []
+    for name in ("solve", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            matrices.append(np.array(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return matrices
+
+
+def test_one_factorization_of_y1_per_grid(monkeypatch, table1_spec):
+    # prepare inverts Y1 once, for A and the Perron pair; scaled reuses A
+    matrices = count_factorizations(monkeypatch)
+    grid = prepare(table1_spec)
+    assert sum(np.array_equal(a, grid.Y1) for a in matrices) == 1
+    matrices.clear()
+    grid.scaled(1.5)
+    assert not any(np.array_equal(a, grid.Y1) for a in matrices)
+
+
+def assert_load_matrix_matches_solve(spec):
+    grid = prepare(spec)
+    A = load_matrix(grid.Y1, grid.P)
+    assert np.max(np.abs(grid.A - A)) <= 1e-13 * np.max(np.abs(A))
+
+
+def test_load_matrix_matches_solve(table1_spec, corpus):
+    assert_load_matrix_matches_solve(table1_spec)
+    for case in corpus[:100]:
+        assert_load_matrix_matches_solve(case.spec)
+
+
+@pytest.mark.parametrize("m", [96, 192, 384])
+def test_load_matrix_matches_solve_large_grids(m):
+    assert_load_matrix_matches_solve(
+        dcgrid.parse_network(random_grid_document(np.random.default_rng(m), m=m)))
+
+
+def test_scaled_load_matrix_is_exactly_scaled(table1_spec):
+    grid = prepare(table1_spec)
+    for s in (0.0, 0.5, 1.5, 2.0):
+        np.testing.assert_array_equal(grid.scaled(s).A, s * grid.A)
 
 
 def test_near_degenerate_feeders_are_analyzed(tmp_path):

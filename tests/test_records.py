@@ -27,7 +27,7 @@ def test_every_array_field_is_read_only(table1_doc, table1_spec):
     doc["scenario"] = {"horizon": 2e-4, "dt": 1e-4}
     trace = simulate(parse_scenario(doc))
     for record in (grid, grid.partition, grid.pair, cert, report, trace,
-                   perron(grid.Y1, grid.P),
+                   perron(np.linalg.inv(grid.Y1), grid.P),
                    bracket(grid.q_weights, table1_spec.control.u_ref, grid.A)):
         _assert_arrays_frozen(record)
 
