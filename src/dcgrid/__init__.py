@@ -10,7 +10,7 @@ hangs off a single JSON grid document; see `network` for the schema.
 from .errors import DomainError, NumericalError, SpecError
 from .existence import (Bracket, ExistenceCertificate, PreparedGrid, Thresholds,
                         analytic_thresholds, bracket, certify, dual_ascent,
-                        f_matrix, fixed_point_solve, prepare)
+                        fixed_point_solve, prepare)
 from .linalg import PerronPair, min_symmetric_eigenvalue, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
                       NetworkSpec, SourceNode, build_admittance,
@@ -30,7 +30,7 @@ __all__ = [
     "SimulationTrace", "SourceNode", "SpecError", "StabilityReport", "Thresholds",
     "analytic_thresholds", "analyze_stability", "b_max", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",
-    "dual_ascent", "effective_admittance", "f_matrix", "fixed_point_solve",
+    "dual_ascent", "effective_admittance", "fixed_point_solve",
     "jacobian", "load_network",
     "load_scenario", "min_symmetric_eigenvalue", "parse_network",
     "parse_scenario", "perron", "prepare", "reduce_network", "simulate",

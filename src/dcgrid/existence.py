@@ -11,17 +11,18 @@ orthant. The analyzer computes
 
   tau1  necessary threshold 2*sqrt(chi), chi the Perron root of A (see
         `linalg.perron`), equal to the AM-GM dual bound below at w = P*eta,
-  tau2  best sufficient threshold sqrt(min_q max_ij f_ij(q)) over positive
-        weight vectors q (pairwise interval-overlap conditions), evaluated at
-        q = 1/x for the minimizer x of the geometric program
-        tau* = min_x max_i (x + A(1/x))_i, where it equals tau*,
+  tau2  the exact threshold tau* = min_x max_i (x + A(1/x))_i, reported as
+        the primal value max(x + A(1/x)) at the computed floor x; on paper it
+        equals the paper's best pairwise threshold sqrt(max_ij f_ij(1/x)),
+        whose separated branch cancels to rounding noise in floats,
   tau3  sufficient threshold obtained by evaluating q at the Perron vector,
   tau4  sufficient threshold from the infinity-norm contraction bound,
 
-builds the order bracket [h*xi, zeta] on which F maps into itself (so a fixed
-point exists, by Tarski), and finds the high-voltage equilibrium with Newton
-from zeta, accepted only inside the bracket and where Y1 - diag(P/u^2) is
-positive definite, which marks the greatest fixed point.
+builds the order bracket [h*xi, zeta], checks strictly in floats that F maps
+both corners inward (so a fixed point lies between, by Tarski), and finds the
+high-voltage equilibrium with Newton from zeta, accepted only inside the
+bracket and where Y1 - diag(P/u^2) is positive definite, which marks the
+greatest fixed point.
 
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
@@ -57,7 +58,6 @@ __all__ = [
     "Bracket",
     "PreparedGrid",
     "Thresholds",
-    "f_matrix",
     "dual_ascent",
     "analytic_thresholds",
     "bracket",
@@ -69,11 +69,12 @@ __all__ = [
 _ASCENT_CAP = 50              # Newton steps; at most 10 reach the gap from psi
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
+_CORNER_SHRINK = 1e-10        # pulls the bracket's tight row off its bound
 
 
 @dataclass(frozen=True)
 class Bracket(Record):
-    low: np.ndarray    # h*xi, volts
+    low: np.ndarray    # h*xi, volts, with F(low) >= low strictly
     high: np.ndarray   # zeta = u_ref*1, volts
 
 
@@ -151,24 +152,6 @@ class PreparedGrid(Thresholds):
             tau_perron_vector=self.tau_perron_vector * root,
             tau_contraction=self.tau_contraction * root,
             tau_dual=self.tau_dual * root, primal_floor=self.primal_floor * root)
-
-
-def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """All pairwise values f_ij(q) as an mxm symmetric matrix (vectorized)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0):
-        raise DomainError("weights must be positive")
-    v = A @ q
-    s = v / q
-    B = np.outer(v, 1.0 / q)
-    peak = np.maximum.outer(s, s)
-    cross = B + B.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = cross - s[:, None] - s[None, :]
-        sep = np.where(den > 0, (B - B.T) ** 2 / np.where(den > 0, den, 1.0), np.inf)
-    F = np.where(cross <= 2.0 * peak, 4.0 * peak, sep)
-    np.fill_diagonal(F, 4.0 * s)
-    return F
 
 
 def dual_ascent(A: np.ndarray, w0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -252,31 +235,27 @@ def _F(u_ref, A, u):
 
 
 def bracket(q: np.ndarray, u_ref: float, A: np.ndarray) -> Bracket | None:
-    """Order interval [h*xi, zeta] that F maps into itself, or None if infeasible.
+    """Order interval [h*xi, zeta] that F maps into itself, or None if the check fails.
 
-    Feasible iff u_ref^2 > max_ij f_ij(q). Then every per-load quadratic has
-    real roots and h = min_i (q_i/2)(u_ref + sqrt(u_ref^2 - 4 a_i q / q_i))
-    with xi = 1/q gives the lower corner; the upper corner is zeta = u_ref*1.
-    Both F(h*xi) >= h*xi and F(zeta) <= zeta are re-verified numerically.
+    With xi = 1/q, load i's quadratic h^2 - q_i u_ref h + q_i (A q)_i has
+    discriminant u_ref^2 - 4 (A q)_i / q_i; clamped at 0, it gives
+    h = min_i (q_i/2)(u_ref + sqrt(disc_i)), the paper's lower corner h*xi,
+    shrunk by _CORNER_SHRINK because its tightest row sits exactly on the
+    bound. The upper corner is zeta = u_ref*1. The interval is returned only
+    when F(h*xi) >= h*xi and F(zeta) <= zeta hold strictly in floats, so a
+    fixed point of the increasing F lies in it (Tarski); a row with a
+    negative discriminant always fails the first check.
     """
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise DomainError("weights must be positive")
     if u_ref <= 0:
         raise DomainError("reference voltage must be positive")
-    m = A.shape[0]
-    if float(f_matrix(A, q).max()) >= u_ref * u_ref:
-        return None
-    disc = u_ref * u_ref - 4.0 * (A @ q) / q
-    if np.any(disc < 0):  # guarded by the f-test; kept for exactness
-        return None
-    h = float(np.min(0.5 * q * (u_ref + np.sqrt(disc))))
+    disc = np.maximum(u_ref * u_ref - 4.0 * (A @ q) / q, 0.0)
+    h = float(np.min(0.5 * q * (u_ref + np.sqrt(disc)))) * (1.0 - _CORNER_SHRINK)
     low = h / q
-    high = u_ref * np.ones(m)
-    tol = 1e-9 * u_ref
-    if np.any(_F(u_ref, A, low) < low - tol):
-        return None
-    if np.any(_F(u_ref, A, high) > high):
+    high = u_ref * np.ones(A.shape[0])
+    if np.any(_F(u_ref, A, low) < low) or np.any(_F(u_ref, A, high) > high):
         return None
     return Bracket(low=low, high=high)
 
@@ -338,7 +317,7 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
     return PreparedGrid(
         spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
         tau_necessary=2.0 * float(np.sum(np.sqrt(psi * (A.T @ psi)))),
-        tau_optimized=float(np.sqrt(f_matrix(A, q).max())),
+        tau_optimized=float(np.max(x + A @ q)),
         tau_perron_vector=tau3, tau_contraction=tau4, tau_dual=tau_dual,
         q_weights=q / q.max(), dual_weights=w, primal_floor=x)
 

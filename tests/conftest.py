@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from dcgrid.existence import (analytic_thresholds, bracket, dual_ascent, f_matrix,
+from dcgrid.existence import (analytic_thresholds, bracket, dual_ascent,
                               fixed_point_solve)
 from dcgrid.linalg import perron, reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
-from oracles import load_matrix, open_circuit
+from oracles import f_matrix, load_matrix, open_circuit
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 TABLE1 = EXAMPLES / "paper_table1.json"

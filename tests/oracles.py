@@ -1,6 +1,9 @@
 """Reference implementations the tests compare the package against.
 
-`f_pair` is the scalar form of `dcgrid.existence.f_matrix`, `load_matrix`
+`f_matrix` gives the paper's pairwise solvability values f_ij(q) for all
+pairs at once, `f_pair` is its scalar form, `f_pair_exact` evaluates the same
+value in rational arithmetic (at q = 1/x the float forms cancel to rounding
+noise, so `tau_optimized` is checked against this one), `load_matrix`
 is the solve-based `A` that `dcgrid.prepare` forms from one inverse of Y1,
 `perron_on_support` is the general-matrix eigen-solve that `dcgrid.perron`
 must agree with, `open_circuit` gives the source injection and the
@@ -17,10 +20,30 @@ writer that `SimulationTrace.to_csv` must match byte for byte. The
 package itself uses none of them.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.optimize import minimize
 
-from dcgrid import DomainError, NumericalError, f_matrix
+from dcgrid import DomainError, NumericalError
+
+
+def f_matrix(A: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """All pairwise values f_ij(q) as an mxm symmetric matrix (vectorized)."""
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= 0):
+        raise DomainError("weights must be positive")
+    v = A @ q
+    s = v / q
+    B = np.outer(v, 1.0 / q)
+    peak = np.maximum.outer(s, s)
+    cross = B + B.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = cross - s[:, None] - s[None, :]
+        sep = np.where(den > 0, (B - B.T) ** 2 / np.where(den > 0, den, 1.0), np.inf)
+    F = np.where(cross <= 2.0 * peak, 4.0 * peak, sep)
+    np.fill_diagonal(F, 4.0 * s)
+    return F
 
 
 def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
@@ -44,6 +67,32 @@ def f_pair(q: np.ndarray, A: np.ndarray, i: int, j: int) -> float:
     peak = max(si, sj)
     if bij + bji <= 2.0 * peak:
         return 4.0 * peak
+    return (bij - bji) ** 2 / (bij + bji - si - sj)
+
+
+def f_pair_exact(q: np.ndarray, A: np.ndarray, i: int, j: int) -> Fraction:
+    """`f_pair` in exact rational arithmetic on the float entries of q and A.
+
+    Every branch test and every difference is exact, so the separated branch
+    (b_ij - b_ji)^2 / (b_ij + b_ji - s_i - s_j) does not cancel where the
+    rows are tight, as it does in floats at q = 1/x.
+    """
+    if np.any(np.asarray(q) <= 0):
+        raise DomainError("weights must be positive")
+    q = [Fraction(float(v)) for v in q]
+
+    def row(k):  # (A q)_k
+        return sum(Fraction(float(a)) * w for a, w in zip(A[k], q))
+
+    vi, vj = row(i), row(j)
+    si = vi / q[i]
+    if i == j:
+        return 4 * si
+    sj = vj / q[j]
+    bij, bji = vi / q[j], vj / q[i]
+    peak = max(si, sj)
+    if bij + bji <= 2 * peak:
+        return 4 * peak
     return (bij - bji) ** 2 / (bij + bji - si - sj)
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
-                    certify, f_matrix, fixed_point_solve,
+                    certify, fixed_point_solve,
                     min_symmetric_eigenvalue, perron, prepare, reduce_network)
 from dcgrid.existence import _F, _residual, analytic_thresholds
 from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
-from oracles import f_pair, load_matrix, multistart_newton, optimize_weights
+from oracles import (f_matrix, f_pair, load_matrix, multistart_newton,
+                     optimize_weights)
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
@@ -107,7 +108,7 @@ def test_bracket_feasible_at_reference_point(light):
     # certify's own floor, at q = 1/x, is a sub-solution below the equilibrium
     cert = certify(spec)
     low = cert.bracket_low
-    assert np.all(_F(89.64, A, low) >= low - 1e-9 * 89.64)
+    assert np.all(_F(89.64, A, low) >= low)
     assert np.all(low <= cert.u_load)
 
 
@@ -120,6 +121,17 @@ def test_bracket_infeasible_below_threshold(light):
         bracket(-q, 89.64, A)
     with pytest.raises(DomainError):
         bracket(q, -1.0, A)
+
+
+def test_bracket_none_on_negative_discriminant(light):
+    # the clamp keeps the corner finite, so the strict check rejects it
+    # rather than a NaN corner slipping through every comparison
+    _, _, A = light
+    q = np.ones(6)
+    u_ref = 60.0
+    assert np.any(u_ref * u_ref - 4.0 * (A @ q) / q < 0)
+    with np.errstate(invalid="raise"):
+        assert bracket(q, u_ref, A) is None
 
 
 def test_fixed_point_light_equilibrium(light):

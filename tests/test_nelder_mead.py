@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import oracles
 from conftest import HEAVY, random_grid_document, variant
-from dcgrid import f_matrix, parse_network, prepare
+from dcgrid import parse_network, prepare
 
 REL = 1e-9  # the certificate's relative gap, with rounding to spare
 
@@ -31,7 +31,7 @@ def grids(table1_spec):
 
 def _objective(A):
     """The search's objective: max f_ij at q = exp([z, 0])."""
-    return lambda z: float(f_matrix(A, np.exp(np.append(z, 0.0))).max())
+    return lambda z: float(oracles.f_matrix(A, np.exp(np.append(z, 0.0))).max())
 
 
 @pytest.mark.parametrize("name", ["light", "heavy", "m6", "m24", "m96"])
@@ -56,7 +56,7 @@ def test_grid_objective_matches_scipy(grids, name):
 def test_optimize_weights_matches_scipy_copy(grids, name):
     grid = grids[name]
     q, tau2 = oracles.optimize_weights(grid.A, grid.pair.eta)
-    assert np.sqrt(f_matrix(grid.A, q).max()) == pytest.approx(tau2, rel=1e-12)
+    assert np.sqrt(oracles.f_matrix(grid.A, q).max()) == pytest.approx(tau2, rel=1e-12)
     assert tau2 >= grid.tau_dual * (1.0 - REL)
     assert grid.tau_optimized <= tau2 * (1.0 + REL)
     if name in ("light", "heavy"):

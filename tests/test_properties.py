@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcgrid import (SpecError, certify, check_connected, f_matrix,
+from dcgrid import (SpecError, certify, check_connected,
                     load_network, parse_network, parse_scenario, reduce_network,
                     simulate, build_admittance)
 from conftest import TABLE1, random_grid_document
-from oracles import is_m_matrix, load_matrix
+from oracles import f_matrix, is_m_matrix, load_matrix
 
 _SPEC = load_network(TABLE1)
 _A = load_matrix(

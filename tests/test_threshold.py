@@ -11,10 +11,10 @@ must reach the same bound.
 import numpy as np
 import pytest
 
-from dcgrid import certify, dual_ascent, f_matrix, parse_network, prepare
+from dcgrid import certify, dual_ascent, parse_network, prepare
 from dcgrid import existence
 from conftest import HEAVY, random_grid_document, variant
-from oracles import multiplicative_ascent, threshold_bounds
+from oracles import f_matrix, multiplicative_ascent, threshold_bounds
 
 SIZES = (96, 192, 384)
 
