@@ -20,9 +20,9 @@ orthant. The analyzer computes
 
 builds the order bracket [h*xi, zeta], checks strictly in floats that F maps
 both corners inward (so a fixed point lies between, by Tarski), and finds the
-high-voltage equilibrium with Newton from zeta, accepted only inside the
-bracket and where Y1 - diag(P/u^2) is positive definite, which marks the
-greatest fixed point.
+high-voltage equilibrium by Newton on u - F(u) = 0 from zeta, which descends
+monotonically to it and is accepted where I - A diag(1/u^2) is an M-matrix,
+which marks the greatest fixed point.
 
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
@@ -49,7 +49,7 @@ import numpy as np
 
 from ._record import Record, to_json
 from .errors import DomainError, NumericalError
-from .linalg import PerronPair, _solve_balance, perron, reduce_network
+from .linalg import PerronPair, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
                       build_admittance)
 
@@ -70,6 +70,8 @@ _ASCENT_CAP = 50              # Newton steps; at most 10 reach the gap from psi
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 _CORNER_SHRINK = 1e-10        # pulls the bracket's tight row off its bound
+_EQ_TOL = 1e-12               # max|u - F(u)| / u_ref that ends the equilibrium solve
+_EQ_STEPS = 60                # Newton steps on u = F(u); 17 at most on the wide-range draws
 
 
 @dataclass(frozen=True)
@@ -265,31 +267,37 @@ def _residual(u, Y1, u_ref, P):
     return u * (Y1 @ (u - u_ref)) + P
 
 
-def fixed_point_solve(u_ref: float, Y1: np.ndarray, P: np.ndarray,
-                      brk: Bracket) -> tuple[np.ndarray, float]:
-    """Newton from zeta to the high-voltage equilibrium, checked two ways.
+def fixed_point_solve(u_ref: float, A: np.ndarray, brk: Bracket) -> np.ndarray:
+    """The high-voltage equilibrium: monotone Newton on G(u) = u - F(u) from zeta.
 
-    The bracket proves that a fixed point of F exists; Newton on the power
-    balance finds one. The root must lie in the bracket, and Y1 - diag(P/u^2)
-    must be positive definite, i.e. rho(F'(u)) < 1. F is concave and
-    increasing, so a second fixed point v >= u, v != u, would force
-    rho(F'(u)) >= 1 (Perron-Frobenius); every fixed point lies below zeta, so
-    u is the greatest one, the high-voltage equilibrium. Either check failing
-    raises NumericalError.
+    G = u + A(1/u) - u_ref*1 is convex, and G'(u) = I - A diag(1/u^2) is a
+    Z-matrix that is a nonsingular M-matrix at and above the greatest root
+    u*; G(zeta) = A(1/zeta) >= 0. So Newton from zeta decreases monotonically
+    to u* (Ortega and Rheinboldt, 13.3) and stops when max|G| <= _EQ_TOL*u_ref,
+    in volts whatever the units of r and P. The root must not lie below the
+    bracket floor, and z = G'^-1 1 > 0 with G'z > 0 must prove G' an
+    M-matrix at the root, i.e. rho(F'(u)) < 1: a concave increasing F then
+    has no other fixed point above u, so u is the greatest one. A failed
+    check raises NumericalError.
     """
-    P = np.asarray(P, dtype=float)
-    u, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, P, brk.high, 1e-10 * u_ref * u_ref)
-    if not ok:
-        raise NumericalError("Newton solve from zeta did not converge")
-    guard = 1e-7 * u_ref
-    if (u < brk.low - guard).any() or (u > brk.high + guard).any():
-        raise NumericalError("Newton root left the bracket")
+    u, one = brk.high.copy(), np.ones(A.shape[0])
     try:
-        np.linalg.cholesky(Y1 - np.diag(P / (u * u)))
+        for step in range(_EQ_STEPS + 1):
+            G, J = u + A @ (1.0 / u) - u_ref, np.diag(one) - A / (u * u)
+            if np.max(np.abs(G)) <= _EQ_TOL * u_ref:
+                break
+            if step == _EQ_STEPS:
+                raise NumericalError("Newton on u = F(u) from zeta did not converge")
+            u = u - np.linalg.solve(J, G)
+        z = np.linalg.solve(J, one)
     except np.linalg.LinAlgError:
+        raise NumericalError("singular Jacobian in Newton on u = F(u)") from None
+    if (u < brk.low).any():
+        raise NumericalError("Newton root left the bracket")
+    if not (np.all(z > 0) and np.all(J @ z > 0)):
         raise NumericalError("Newton root failed the high-voltage check "
-                             "(Y1 - diag(P/u^2) not positive definite)") from None
-    return u, float(np.max(np.abs(_residual(u, Y1, u_ref, P))))
+                             "(I - A diag(1/u^2) not an M-matrix)")
+    return u
 
 
 def prepare(spec: NetworkSpec) -> PreparedGrid:
@@ -366,7 +374,7 @@ def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
                     note=f"reference voltage within the certificate tolerance of the "
                          f"threshold ({grid.tau_dual:.10g} to {grid.tau_optimized:.10g} V)")
     try:
-        u, res = fixed_point_solve(u_ref, Y1, P, brk)
+        u = fixed_point_solve(u_ref, grid.A, brk)
     except NumericalError as exc:
         return cert("undetermined", brk, None, None, note=f"solver diagnostics: {exc}")
-    return cert("certified-exists", brk, u, res)
+    return cert("certified-exists", brk, u, float(np.max(np.abs(_residual(u, Y1, u_ref, P)))))

@@ -1,13 +1,9 @@
-"""Numerical kernels: network reduction, the Perron pair, the power-balance solver.
+"""Numerical kernels: network reduction, the Perron pair, symmetric eigenvalues.
 
 These are the shared primitives under both analyzers. Everything operates on
 plain numpy arrays and is pure; inputs are never mutated. `reduce_network`
 returns the load-side matrix Y1, which depends on the line conductances and
-the droop gains only. `_solve_balance` is the one Newton solver for the
-constant-power balance u_i (c + Y u)_i = -P_i: existence finds the
-high-voltage equilibrium with it, and the simulator's load flow falls back
-on it when its chord steps (Newton steps on a cached inverse Jacobian)
-stall.
+the droop gains only.
 """
 
 from __future__ import annotations
@@ -26,9 +22,6 @@ __all__ = [
     "perron",
     "min_symmetric_eigenvalue",
 ]
-
-_NEWTON_STEPS = 50   # Newton steps per balance solve; existence needs at most 17
-
 
 @dataclass(frozen=True)
 class PerronPair(Record):
@@ -103,30 +96,3 @@ def min_symmetric_eigenvalue(A: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
     A = _symmetrize(np.asarray(A, dtype=float), "matrix")
     return float(np.linalg.eigvalsh(A)[0])
-
-
-def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
-                   tol: float | np.ndarray) -> tuple[np.ndarray, bool]:
-    """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
-
-    Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
-    at most tol (a scalar or one bound per load), checked before each of at
-    most _NEWTON_STEPS Newton steps and once after the last. An iterate that
-    leaves the positive orthant or a singular Jacobian ends the solve
-    unconverged: the balance has no physical root near u0.
-    """
-    u = np.array(u0, dtype=float)
-    for step in range(_NEWTON_STEPS + 1):
-        current = c + Y @ u
-        r = u * current + P
-        if (np.abs(r) <= tol).all():
-            return u, True
-        if step == _NEWTON_STEPS:
-            break
-        try:
-            u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
-        except np.linalg.LinAlgError:
-            break
-        if (u <= 0).any():
-            break
-    return u, False

@@ -15,10 +15,11 @@ runs 4 load flows: one for each of stages 2-4 and one at the step's end.
 Stage 1 sits at the state where the previous flow already balanced the
 loads, so it reuses that u_L. Each flow (`_LoadFlow`) warm-starts from the
 previous one and takes chord steps on an inverse Jacobian cached across
-flows; when the chord stalls it falls back to the Newton solver
-`linalg._solve_balance` from the same warm start. A scenario that schedules
-an activate-cpl event starts with the loads open (P = 0, linear solve) until
-the event fires; otherwise loads draw power from t = 0. A source with
+flows; when the chord stalls it falls back to `_solve_balance`, plain
+Newton on the power balance and the package's only load-flow solver, from the
+same warm start. A scenario that schedules an activate-cpl event starts with
+the loads open (P = 0, linear solve) until the event fires; otherwise loads
+draw power from t = 0. A source with
 k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
 the virtual inductor remains.
 
@@ -47,7 +48,6 @@ import numpy as np
 
 from ._record import Record
 from .errors import NumericalError, SpecError
-from .linalg import _solve_balance
 from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _require,
                       build_admittance, parse_network)
 
@@ -66,6 +66,7 @@ _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
 _CSV_BLOCK = 1024              # trace rows formatted per write
 _CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
+_NEWTON_STEPS = 50             # Newton steps per `_solve_balance` call
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
@@ -202,6 +203,33 @@ def _within(r, tol):
 
 def _above(u, floor):
     return all((u > floor).tolist())
+
+
+def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
+                   tol: float | np.ndarray) -> tuple[np.ndarray, bool]:
+    """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
+
+    Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
+    at most tol (a scalar or one bound per load), checked before each of at
+    most _NEWTON_STEPS Newton steps and once after the last. An iterate that
+    leaves the positive orthant or a singular Jacobian ends the solve
+    unconverged: the balance has no physical root near u0.
+    """
+    u = np.array(u0, dtype=float)
+    for step in range(_NEWTON_STEPS + 1):
+        current = c + Y @ u
+        r = u * current + P
+        if (np.abs(r) <= tol).all():
+            return u, True
+        if step == _NEWTON_STEPS:
+            break
+        try:
+            u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
+        except np.linalg.LinAlgError:
+            break
+        if (u <= 0).any():
+            break
+    return u, False
 
 
 class _LoadFlow:

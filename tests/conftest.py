@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from dcgrid.existence import (analytic_thresholds, bracket, dual_ascent,
+from dcgrid.existence import (_residual, analytic_thresholds, bracket, dual_ascent,
                               fixed_point_solve)
 from dcgrid.linalg import perron, reduce_network
 from dcgrid.network import ControlParams, LoadNode, build_admittance, parse_network
@@ -137,7 +137,8 @@ class Case:
         self.q = q
         self.bracket = bracket(q, u_ref, A)
         assert self.bracket is not None, "generator margin guarantees feasibility"
-        self.u_load, self.residual = fixed_point_solve(u_ref, Y1, P, self.bracket)
+        self.u_load = fixed_point_solve(u_ref, A, self.bracket)
+        self.residual = float(np.max(np.abs(_residual(self.u_load, Y1, u_ref, P))))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 `f_matrix` gives the paper's pairwise solvability values f_ij(q) for all
 pairs at once, `f_pair` is its scalar form, `f_pair_exact` evaluates the same
 value in rational arithmetic (at q = 1/x the float forms cancel to rounding
-noise, so `tau_optimized` is checked against this one), `load_matrix`
+noise, so `tau_optimized` is checked against this one), `g_exact` evaluates
+the fixed-point residual u + A(1/u) - u_ref*1 exactly, `load_matrix`
 is the solve-based `A` that `dcgrid.prepare` forms from one inverse of Y1,
 `perron_on_support` is the general-matrix eigen-solve that `dcgrid.perron`
 must agree with, `open_circuit` gives the source injection and the
@@ -94,6 +95,15 @@ def f_pair_exact(q: np.ndarray, A: np.ndarray, i: int, j: int) -> Fraction:
     if bij + bji <= 2 * peak:
         return 4 * peak
     return (bij - bji) ** 2 / (bij + bji - si - sj)
+
+
+def g_exact(A: np.ndarray, u: np.ndarray, u_ref: float) -> list[Fraction]:
+    """G(u) = u + A(1/u) - u_ref*1, the residual of u = F(u), in exact rational
+    arithmetic on the float entries of A, u and u_ref (volts)."""
+    inv = [1 / Fraction(float(v)) for v in u]
+    ref = Fraction(float(u_ref))
+    return [Fraction(float(v)) + sum(Fraction(float(a)) * w for a, w in zip(row, inv)) - ref
+            for v, row in zip(u, A)]
 
 
 def load_matrix(Y1: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""The shared Newton solver of the constant-power balance u_i (c + Y u)_i = -P_i."""
+"""The load flow's Newton solver of the constant-power balance u_i (c + Y u)_i = -P_i."""
+
+import importlib
 
 import numpy as np
 import pytest
 
-from dcgrid import build_admittance, certify, linalg, solve_load_voltages
-from dcgrid.linalg import _solve_balance
+from dcgrid import build_admittance, certify, solve_load_voltages
 from conftest import HEAVY, LIGHT, variant
+
+_sim = importlib.import_module("dcgrid.simulate")
+_solve_balance = _sim._solve_balance
 
 G, V = 2.0, 100.0           # one load fed through one line of conductance G from V
 P_MAX = G * V * V / 4.0     # largest power the line can transfer
@@ -35,10 +39,10 @@ def test_one_line_above_max_power_does_not_converge(frac):
 
 def test_iterate_checked_after_last_step(monkeypatch):
     root = 0.5 * (V + np.sqrt(V * V - 2.0 * P_MAX / G))
-    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(_sim, "_NEWTON_STEPS", 0)
     assert _one_line(0.5 * P_MAX, u0=root)[1]
     assert not _one_line(0.5 * P_MAX, u0=V)[1]
-    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 8)
+    monkeypatch.setattr(_sim, "_NEWTON_STEPS", 8)
     assert _one_line(0.5 * P_MAX, u0=V)[1]
 
 

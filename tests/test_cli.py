@@ -259,6 +259,19 @@ def test_sweep_bisect_reads_certified_interval(monkeypatch, capsys):
     assert rows[parts["lo"]] == "False" and rows[parts["hi"]] == "True"
 
 
+def test_sweep_bisect_abscissa_at_the_fold(capsys):
+    # the README's --bisect command: its hi row sits about 1e-9 above tau*,
+    # where the root is sensitive; the abscissa there is -0.1485399 at the
+    # root of the same A to 50 digits
+    assert main(["sweep", str(TABLE1), "--param", "uref",
+                 "--min", "88", "--max", "91", "--bisect", "0.01"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    hi = dict(kv.split("=") for kv in lines[-1].split()[2:])["hi"]
+    row = next(r.split(",") for r in lines[1:] if r.split(",")[1] == hi)
+    assert row[2] == "certified-exists"
+    assert float(row[8]) == pytest.approx(-0.1485399, rel=1e-4)
+
+
 def test_analyze_numerical_failure_exits_70(capsys):
     # a valid grid whose Perron pair fails its residual check is not an input error
     path = Path(__file__).resolve().parent / "data" / "wide_range_976.json"

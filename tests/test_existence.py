@@ -1,16 +1,21 @@
 """Thresholds, the threshold certificate, the order bracket, and equilibrium solving."""
 
+import importlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
                     certify, fixed_point_solve,
                     min_symmetric_eigenvalue, perron, prepare, reduce_network)
+from dcgrid import existence
 from dcgrid.existence import _F, _residual, analytic_thresholds
-from dcgrid.linalg import _solve_balance
 from conftest import HEAVY, LIGHT, variant
-from oracles import (f_matrix, f_pair, load_matrix, multistart_newton,
+from oracles import (f_matrix, f_pair, g_exact, load_matrix, multistart_newton,
                      optimize_weights)
+
+_solve_balance = importlib.import_module("dcgrid.simulate")._solve_balance
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
@@ -138,17 +143,30 @@ def test_fixed_point_light_equilibrium(light):
     spec, reduced, A = light
     q, _ = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
     brk = bracket(q, 89.64, A)
-    u, res = fixed_point_solve(89.64, reduced.Y1, LIGHT, brk)
+    u = fixed_point_solve(89.64, A, brk)
     assert np.max(np.abs(u - U_STAR_LIGHT)) <= 0.05
-    assert res <= 1e-8 * 89.64**2
-    assert np.all(u >= brk.low - 1e-7)
-    assert np.all(u <= brk.high + 1e-12)
+    assert np.max(np.abs(_residual(u, reduced.Y1, 89.64, LIGHT))) <= 1e-8 * 89.64**2
+    assert np.all(u >= brk.low)
+    assert np.all(u <= brk.high)
+
+
+def test_equilibrium_meets_its_stop_exactly(table1_spec, monkeypatch):
+    # the stop max|u + A(1/u) - u_ref| <= 1e-12 u_ref holds in exact
+    # arithmetic at the float root, within 20 Newton steps, at the reference
+    # point and just above the fold
+    monkeypatch.setattr(existence, "_EQ_STEPS", 20)
+    grid = prepare(table1_spec)
+    for u_ref in (89.64, (1 + 1e-9) * grid.tau_dual):
+        cert = certify(grid.with_uref(u_ref))
+        assert cert.verdict == "certified-exists", cert.note
+        G = g_exact(grid.A, cert.u_load, u_ref)
+        assert max(map(abs, G)) <= Fraction(1e-12) * Fraction(u_ref)
 
 
 def test_fixed_point_rejects_low_voltage_root(light):
     # a bracket whose top sits just above the low-voltage root lets Newton
-    # reach that root inside the bracket; only the definiteness check sees it
-    spec, reduced, _ = light
+    # reach that root inside the bracket; only the M-matrix check sees it
+    spec, reduced, A = light
     Y1, u_ref = reduced.Y1, 89.64
     low_root, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, LIGHT,
                                   0.4 * u_ref * np.ones(6), 1e-10 * u_ref**2)
@@ -159,7 +177,7 @@ def test_fixed_point_rejects_low_voltage_root(light):
     assert min_symmetric_eigenvalue(Y1 - np.diag(LIGHT / high_root**2)) > 0.01
     brk = Bracket(low=0.5 * low_root, high=low_root + 1e-4)
     with pytest.raises(NumericalError, match="high-voltage check"):
-        fixed_point_solve(u_ref, Y1, LIGHT, brk)
+        fixed_point_solve(u_ref, A, brk)
 
 
 # oracles.multistart_newton searches for roots without any certificate, so

@@ -21,7 +21,7 @@ import numpy as np
 from conftest import random_grid_document
 
 DATA = Path(__file__).resolve().parent / "data"
-DRAWS = (108, 116, 203, 359, 436, 976, 1122, 1666, 2915)
+DRAWS = (108, 116, 203, 264, 359, 436, 720, 976, 1122, 1511, 1666, 2915)
 COUNT = 3000
 
 
