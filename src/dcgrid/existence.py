@@ -126,8 +126,8 @@ class PreparedGrid(Thresholds):
 
     def with_uref(self, u_ref: float) -> PreparedGrid:
         """The same grid at another reference voltage u_ref > 0 (Y1 does not depend on it)."""
-        if u_ref <= 0:
-            raise DomainError("reference voltage must be positive")
+        if not 0 < u_ref < np.inf:
+            raise DomainError("reference voltage must be positive and finite")
         control = ControlParams(u_ref=u_ref, b=self.spec.control.b)
         return dataclasses.replace(self, spec=dataclasses.replace(self.spec, control=control))
 
@@ -140,8 +140,8 @@ class PreparedGrid(Thresholds):
         unscaled one. `certify` still verifies the bracket numerically on
         s*A rather than assuming it.
         """
-        if s < 0:
-            raise DomainError("load scale must be nonnegative")
+        if not 0 <= s < np.inf:
+            raise DomainError("load scale must be nonnegative and finite")
         loads = tuple(LoadNode(id=l.id, P=l.P * s) for l in self.spec.loads)
         spec = dataclasses.replace(self.spec, loads=loads)
         root = float(np.sqrt(s))
@@ -249,10 +249,10 @@ def bracket(q: np.ndarray, u_ref: float, A: np.ndarray) -> Bracket | None:
     negative discriminant always fails the first check.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(q <= 0):
-        raise DomainError("weights must be positive")
-    if u_ref <= 0:
-        raise DomainError("reference voltage must be positive")
+    if not np.all(np.isfinite(q) & (q > 0)):
+        raise DomainError("weights must be positive and finite")
+    if not 0 < u_ref < np.inf:
+        raise DomainError("reference voltage must be positive and finite")
     disc = np.maximum(u_ref * u_ref - 4.0 * (A @ q) / q, 0.0)
     h = float(np.min(0.5 * q * (u_ref + np.sqrt(disc)))) * (1.0 - _CORNER_SHRINK)
     low = h / q

@@ -47,8 +47,8 @@ def reduce_network(partition: AdmittancePartition, k: np.ndarray) -> np.ndarray:
     and the open-circuit load voltage is zeta = u_ref*1 on a connected grid.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0):
-        raise DomainError("virtual resistances must be positive")
+    if not np.all(np.isfinite(k) & (k > 0)):
+        raise DomainError("virtual resistances must be positive and finite")
     n = partition.Y_SS.shape[0]
     if k.shape != (n,):
         raise DomainError(f"expected {n} virtual resistances, got {k.shape}")
@@ -75,8 +75,8 @@ def perron(Y1_inv: np.ndarray, P: np.ndarray) -> PerronPair:
     belongs to its spectral radius.
     """
     P = np.asarray(P, dtype=float)
-    if P.shape != (Y1_inv.shape[0],) or np.any(P < 0) or not np.any(P > 0):
-        raise DomainError("expected one nonnegative power per load, not all zero")
+    if P.shape != (Y1_inv.shape[0],) or not (np.all(P >= 0) and 0 < P.sum() < np.inf):
+        raise DomainError("expected one finite nonnegative power per load, not all zero")
     root = np.sqrt(P)
     Z = Y1_inv * root
     S = root[:, None] * Z

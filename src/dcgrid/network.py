@@ -208,14 +208,18 @@ def parse_network(document: dict) -> NetworkSpec:
     return spec
 
 
-def load_network(path) -> NetworkSpec:
-    """Read and parse a grid document from a JSON file."""
+def _read_json(path):
+    """The document in a JSON file; malformed JSON is a SpecError at field "$"."""
     with open(path) as fh:
         try:
-            document = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid JSON: {exc}", field="$") from exc
-    return parse_network(document)
+
+
+def load_network(path) -> NetworkSpec:
+    """Read and parse a grid document from a JSON file."""
+    return parse_network(_read_json(path))
 
 
 def check_connected(spec: NetworkSpec) -> bool:

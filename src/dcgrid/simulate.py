@@ -40,7 +40,6 @@ Scenario files extend the grid document with::
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -48,8 +47,8 @@ import numpy as np
 
 from ._record import Record
 from .errors import NumericalError, SpecError
-from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _require,
-                      build_admittance, parse_network)
+from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _read_json,
+                      _require, build_admittance, parse_network)
 
 __all__ = [
     "Event",
@@ -89,28 +88,28 @@ class Event:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A grid, horizon and step in seconds, and sorted events; every run starts
+    at u_S = u_ref*1, i_L = 0, with the load voltages from a load flow."""
+
     spec: NetworkSpec
     horizon: float
     dt: float = _DEFAULT_DT
     events: tuple[Event, ...] = ()
-    # optional explicit initial state; defaults are u_S = u_ref*1, i_L = 0
-    u_source0: np.ndarray | None = None
-    i_inductor0: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class SimulationTrace(Record):
+    """Samples at t = 0, after every `simulate` stride-th step and, when the run
+    completes, at its horizon; the events as applied; and how the run ended."""
+
     t: np.ndarray
     u_load: np.ndarray          # samples x m
     u_source: np.ndarray        # samples x n
     i_inductor: np.ndarray      # samples x n
-    i_source: np.ndarray        # samples x n
     events: tuple               # (time, description) pairs as applied
     termination: str            # completed | collapsed
     collapse_time: float | None = None
     collapse_node: object = None  # load id whose voltage broke first
-    load_ids: tuple = ()
-    source_ids: tuple = ()
 
     def to_csv(self, fh) -> None:
         """Write the trace in the plot-ready column layout.
@@ -183,12 +182,8 @@ def parse_scenario(document: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON: {exc}", field="$") from exc
-    return parse_scenario(document)
+    """Read and parse a scenario document from a JSON file."""
+    return parse_scenario(_read_json(path))
 
 
 def _load_tol(P):
@@ -332,8 +327,7 @@ class _Phase:
     and their load-flow tolerance whenever an event changes the configuration.
     """
 
-    def __init__(self, spec: NetworkSpec, partition: AdmittancePartition,
-                 active: bool = True):
+    def __init__(self, spec: NetworkSpec, partition: AdmittancePartition, active: bool):
         self.P_set = spec.p_vector()
         self.k = spec.k_diag()
         self.b = spec.control.b
@@ -367,13 +361,14 @@ class _Phase:
         self.e = np.concatenate([self._u_ref * inv_X, np.zeros_like(inv_X)])
 
 
-def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTrace:
+def simulate(scenario: Scenario) -> SimulationTrace:
     """Integrate the scenario with classical fixed-step Runge-Kutta.
 
     Events are applied exactly at their timestamps (the step is shortened to
-    land on them). Samples are stored every `decimation` steps (default keeps
-    at most 1e5 samples). On collapse the trace ends early with the offending
-    load recorded; collapse is a result, not an error.
+    land on them). With steps = ceil(horizon / dt), a sample is stored every
+    ceil((steps + 2) / 1e5) steps: after every step when steps <= 99998, and
+    about 1e5 samples in all otherwise. On collapse the trace ends early with
+    the offending load recorded; collapse is a result, not an error.
     """
     spec = scenario.spec
     partition = build_admittance(spec)
@@ -385,9 +380,8 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
     phase = _Phase(spec, partition, active=not starts_open)
 
     total_steps = max(1, math.ceil(scenario.horizon / scenario.dt))
-    if decimation is None:
-        # +2 covers the t=0 sample and a possible off-grid final sample
-        decimation = max(1, math.ceil((total_steps + 2) / _MAX_SAMPLES))
+    # +2 covers the t=0 sample and a possible off-grid final sample
+    decimation = max(1, math.ceil((total_steps + 2) / _MAX_SAMPLES))
 
     events = list(scenario.events)
     applied = []
@@ -399,13 +393,9 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
         phase.apply(ev)
         applied.append((ev.t, ev.describe()))
 
-    u_S = (np.asarray(scenario.u_source0, dtype=float) if scenario.u_source0 is not None
-           else u_ref * np.ones(n))
-    i_L = (np.asarray(scenario.i_inductor0, dtype=float) if scenario.i_inductor0 is not None
-           else np.zeros(n))
-    x = np.concatenate([i_L, u_S])
+    x = np.concatenate([np.zeros(n), u_ref * np.ones(n)])
     load_flow = _LoadFlow(partition).solve
-    u_L, ok = load_flow(u_S, phase.P, phase.tol, u_ref * np.ones(m))
+    u_L, ok = load_flow(x[n:], phase.P, phase.tol, u_ref * np.ones(m))
     if not ok:
         raise SpecError("initial state admits no load-flow solution", field="scenario")
 
@@ -428,15 +418,10 @@ def simulate(scenario: Scenario, decimation: int | None = None) -> SimulationTra
 
     def finish(termination, collapse_time=None, node=None):
         kept = samples[:count]
-        u_load, u_source = kept[:, 1:1 + m], kept[:, 1 + m + n:]
         return SimulationTrace(
-            t=kept[:, 0], u_load=u_load, u_source=u_source,
-            i_inductor=kept[:, 1 + m:1 + m + n],
-            # i_S = Y_SS u_S + Y_SL u_L, all samples in one product
-            i_source=np.hstack([u_source, u_load]) @ partition.Y[:n].T,
-            events=tuple(applied), termination=termination,
-            collapse_time=collapse_time, collapse_node=node,
-            load_ids=load_ids, source_ids=tuple(s.id for s in spec.sources))
+            t=kept[:, 0], u_load=kept[:, 1:1 + m], u_source=kept[:, 1 + m + n:],
+            i_inductor=kept[:, 1 + m:1 + m + n], events=tuple(applied),
+            termination=termination, collapse_time=collapse_time, collapse_node=node)
 
     record(0.0)
     steps = 0

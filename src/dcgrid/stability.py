@@ -63,10 +63,8 @@ def cpl_linearize(u_star: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Incremental load resistances r_i = -(u_i*)^2 / P_i (+inf for P_i = 0)."""
     u_star = np.asarray(u_star, dtype=float)
     P = np.asarray(P, dtype=float)
-    if np.any((u_star == 0) & (P > 0)):
-        raise DomainError("zero load voltage with nonzero power")
-    if np.any(u_star <= 0):
-        raise DomainError("load voltages must be positive")
+    if not np.all(np.isfinite(u_star) & (u_star > 0)):
+        raise DomainError("load voltages must be positive and finite")
     r = np.full(u_star.shape, np.inf)
     on = P > 0
     r[on] = -(u_star[on] ** 2) / P[on]
@@ -94,8 +92,8 @@ def jacobian(Y_eq: np.ndarray, k: np.ndarray, C: np.ndarray, b: float) -> np.nda
     """Closed-loop Jacobian J2 = [[-I/b, -K^-1/b], [C^-1, -C^-1 Y_eq]]."""
     k = np.asarray(k, dtype=float)
     C = np.asarray(C, dtype=float)
-    if b <= 0 or np.any(k <= 0) or np.any(C <= 0):
-        raise DomainError("b, virtual resistances, and capacitances must be positive")
+    if not (0 < b < np.inf and all(np.all(np.isfinite(v) & (v > 0)) for v in (k, C))):
+        raise DomainError("b, virtual resistances, and capacitances must be positive and finite")
     n = k.shape[0]
     Cinv = np.diag(1.0 / C)
     return np.block([

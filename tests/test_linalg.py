@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, NumericalError, analyze_stability, build_admittance,
-                    certify, load_network, min_symmetric_eigenvalue,
-                    parse_network, perron, prepare, reduce_network)
+from dcgrid import (DomainError, NumericalError, analyze_stability, bracket,
+                    build_admittance, certify, cpl_linearize, load_network,
+                    min_symmetric_eigenvalue, parse_network, perron, prepare,
+                    reduce_network)
 from conftest import HEAVY, LIGHT, multiset_distance, random_grid_document
 from oracles import is_m_matrix, load_matrix, perron_on_support, solve_qep
 
@@ -125,6 +126,41 @@ def test_perron_rejects_bad_powers(table1_reduced):
     for P in (np.zeros(6), -LIGHT, np.ones(5)):
         with pytest.raises(DomainError):
             perron(np.linalg.inv(table1_reduced.Y1), P)
+
+
+def _with(x, v):
+    """A copy of the vector x with its first entry replaced by v."""
+    x = np.array(x, dtype=float)
+    x[0] = v
+    return x
+
+
+@pytest.fixture(scope="module")
+def table1_point(table1_spec):
+    grid = prepare(table1_spec)
+    return grid, certify(grid).u_load
+
+
+# each public entry point with one of its numbers replaced by v
+NONFINITE_ENTRIES = {
+    "with_uref": lambda grid, u, v: grid.with_uref(v),
+    "scaled": lambda grid, u, v: grid.scaled(v),
+    "bracket": lambda grid, u, v: bracket(_with(grid.q_weights, v),
+                                          grid.spec.control.u_ref, grid.A),
+    "analyze_stability": lambda grid, u, v: analyze_stability(grid, u, b=v),
+    "perron": lambda grid, u, v: perron(np.linalg.inv(grid.Y1), _with(grid.P, v)),
+    "reduce_network": lambda grid, u, v: reduce_network(grid.partition,
+                                                        _with(grid.spec.k_diag(), v)),
+    "cpl_linearize": lambda grid, u, v: cpl_linearize(_with(u, v), grid.P),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", list(NONFINITE_ENTRIES))
+def test_entry_points_reject_nonfinite_numbers(table1_point, entry, value):
+    grid, u = table1_point
+    with pytest.raises(DomainError):
+        NONFINITE_ENTRIES[entry](grid, u, value)
 
 
 def test_m_matrix_classification():

@@ -10,7 +10,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from dcgrid import (Event, NumericalError, Scenario, SpecError,
+from dcgrid import (Event, NumericalError, SpecError,
                     build_admittance, load_scenario, parse_network,
                     parse_scenario, prepare, simulate, solve_load_voltages)
 from conftest import EXAMPLES, LIGHT, TABLE1, random_grid_document
@@ -127,7 +127,10 @@ def test_single_node_settles_to_closed_form():
     assert trace.termination == "completed"
     assert trace.u_load[-1, 0] == pytest.approx(u_star, abs=1e-3)
     assert trace.i_inductor[-1, 0] == pytest.approx(i_star, abs=1e-3)
-    assert trace.i_source[-1, 0] == pytest.approx(i_star, abs=1e-3)
+    # the source current i_S = Y_SS u_S + Y_SL u_L at the last sample
+    partition = build_admittance(sc.spec)
+    i_S = partition.Y_SS @ trace.u_source[-1] + partition.Y_SL @ trace.u_load[-1]
+    assert i_S[0] == pytest.approx(i_star, abs=1e-3)
 
 
 def test_loads_active_from_start_without_activation_event():
@@ -172,14 +175,11 @@ def test_set_controller_event_changes_damping():
     assert trace.u_load[-1, 0] == pytest.approx(100.0 - rk * i, abs=0.05)
 
 
-def test_initial_state_override():
-    doc = _scenario_doc(0.001, dt=1e-5)
-    sc = parse_scenario(doc)
-    warm = Scenario(spec=sc.spec, horizon=sc.horizon, dt=sc.dt,
-                    u_source0=np.array([95.0]), i_inductor0=np.array([5.0]))
-    trace = simulate(warm)
-    assert trace.u_source[0, 0] == pytest.approx(95.0)
-    assert trace.i_inductor[0, 0] == pytest.approx(5.0)
+def test_short_run_stores_every_step():
+    sc = parse_scenario(_scenario_doc(0.001, dt=1e-5))  # 100 steps
+    trace = simulate(sc)
+    assert trace.t.shape[0] == 101
+    np.testing.assert_allclose(np.diff(trace.t), 1e-5, rtol=1e-9)
 
 
 @pytest.mark.slow
@@ -188,13 +188,9 @@ def test_default_decimation_respects_sample_cap():
     trace = simulate(sc)
     assert trace.t.shape[0] <= 100_000
     assert trace.t[-1] == pytest.approx(0.2, abs=1e-9)
-
-
-def test_explicit_decimation():
-    sc = parse_scenario(_scenario_doc(0.001, dt=1e-5))
-    trace = simulate(sc, decimation=10)
-    assert trace.t.shape[0] == pytest.approx(11, abs=1)
-    np.testing.assert_allclose(np.diff(trace.t)[:-1], 1e-4, rtol=1e-6)
+    # ceil((200_000 + 2) / 1e5) = 3: every 3rd step is stored, and only the
+    # final sample at the horizon lies off that grid
+    np.testing.assert_allclose(np.diff(trace.t)[:-1], 3e-6, rtol=1e-9)
 
 
 def test_collapse_detected_on_infeasible_load():
@@ -245,7 +241,7 @@ def test_collapse_reported_at_last_balanced_sample():
     for ev in doc["scenario"]["events"]:
         if ev["action"] == "set-loads":
             ev["P"] = [1.02 * p for p in ev["P"]]
-    trace = simulate(parse_scenario(doc), decimation=1)
+    trace = simulate(parse_scenario(doc))
     assert trace.termination == "collapsed"
     assert trace.collapse_time == trace.t[-1]
 
@@ -276,7 +272,7 @@ def test_four_load_flows_per_step(monkeypatch):
     monkeypatch.setattr(_sim._LoadFlow, "solve", counted)
     sc = parse_scenario(_scenario_doc(
         0.001, dt=1e-5, events=[{"t": 0.0005, "action": "set-loads", "P": [700.0]}]))
-    trace = simulate(sc, decimation=1)
+    trace = simulate(sc)
     steps = trace.t.shape[0] - 1
     assert trace.termination == "completed" and steps >= 100
     assert len(calls) == 1 + 4 * steps + 1  # initial flow, 4 per step, the re-pin

@@ -29,7 +29,6 @@ def _trace(values, n=2, m=3, termination="completed"):
         t=values[:, 0].copy(), u_load=values[:, 1:1 + m].copy(),
         u_source=values[:, 1 + m:1 + m + n].copy(),
         i_inductor=values[:, 1 + m + n:].copy(),
-        i_source=np.zeros((values.shape[0], n)),
         events=((0.001, "activate-cpl"),), termination=termination,
         collapse_time=0.0123 if termination == "collapsed" else None,
         collapse_node=7 if termination == "collapsed" else None)
