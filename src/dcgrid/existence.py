@@ -22,7 +22,8 @@ builds the order bracket [h*xi, zeta], checks strictly in floats that F maps
 both corners inward (so a fixed point lies between, by Tarski), and finds the
 high-voltage equilibrium by Newton on u - F(u) = 0 from zeta, which descends
 monotonically to it and is accepted where I - A diag(1/u^2) is an M-matrix,
-which marks the greatest fixed point.
+which marks the greatest fixed point. That Newton, `linalg.balance_newton`,
+stops at max|u - F(u)| <= 1e-12*u_ref volts; the simulator's load flow runs it too.
 
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._record import Record, to_json
 from .errors import DomainError, NumericalError
-from .linalg import PerronPair, perron, reduce_network
+from .linalg import PerronPair, balance_newton, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
                       build_admittance)
 
@@ -70,7 +71,6 @@ _ASCENT_CAP = 50              # Newton steps; at most 10 reach the gap from psi
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 _CORNER_SHRINK = 1e-10        # pulls the bracket's tight row off its bound
-_EQ_TOL = 1e-12               # max|u - F(u)| / u_ref that ends the equilibrium solve
 _EQ_STEPS = 60                # Newton steps on u = F(u); 17 at most on the wide-range draws
 
 
@@ -272,24 +272,19 @@ def fixed_point_solve(u_ref: float, A: np.ndarray, brk: Bracket) -> np.ndarray:
 
     G = u + A(1/u) - u_ref*1 is convex, and G'(u) = I - A diag(1/u^2) is a
     Z-matrix that is a nonsingular M-matrix at and above the greatest root
-    u*; G(zeta) = A(1/zeta) >= 0. So Newton from zeta decreases monotonically
-    to u* (Ortega and Rheinboldt, 13.3) and stops when max|G| <= _EQ_TOL*u_ref,
-    in volts whatever the units of r and P. The root must not lie below the
-    bracket floor, and z = G'^-1 1 > 0 with G'z > 0 must prove G' an
-    M-matrix at the root, i.e. rho(F'(u)) < 1: a concave increasing F then
-    has no other fixed point above u, so u is the greatest one. A failed
+    u*; G(zeta) = A(1/zeta) >= 0. So `linalg.balance_newton` from zeta
+    decreases monotonically to u* (Ortega and Rheinboldt, 13.3) and stops
+    when max|G| <= 1e-12*u_ref, within _EQ_STEPS steps. The root must not lie
+    below the bracket floor, and z = G'^-1 1 > 0 with G'z > 0 must prove G'
+    an M-matrix at the root, i.e. rho(F'(u)) < 1: a concave increasing F
+    then has no other fixed point above u, so u is the greatest one. A failed
     check raises NumericalError.
     """
-    u, one = brk.high.copy(), np.ones(A.shape[0])
+    u, J, converged = balance_newton(u_ref, A, brk.high.copy(), u_ref, _EQ_STEPS)
+    if not converged:
+        raise NumericalError("Newton on u = F(u) from zeta did not converge")
     try:
-        for step in range(_EQ_STEPS + 1):
-            G, J = u + A @ (1.0 / u) - u_ref, np.diag(one) - A / (u * u)
-            if np.max(np.abs(G)) <= _EQ_TOL * u_ref:
-                break
-            if step == _EQ_STEPS:
-                raise NumericalError("Newton on u = F(u) from zeta did not converge")
-            u = u - np.linalg.solve(J, G)
-        z = np.linalg.solve(J, one)
+        z = np.linalg.solve(J, np.ones(A.shape[0]))
     except np.linalg.LinAlgError:
         raise NumericalError("singular Jacobian in Newton on u = F(u)") from None
     if (u < brk.low).any():

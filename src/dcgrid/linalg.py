@@ -1,9 +1,10 @@
-"""Numerical kernels: network reduction, the Perron pair, symmetric eigenvalues.
+"""Numerical kernels: network reduction, the Perron pair, the balance Newton, eigenvalues.
 
-These are the shared primitives under both analyzers. Everything operates on
-plain numpy arrays and is pure; inputs are never mutated. `reduce_network`
-returns the load-side matrix Y1, which depends on the line conductances and
-the droop gains only.
+These are the shared primitives under the analyzers and the simulator.
+Everything operates on plain numpy arrays and is pure; inputs are never
+mutated. `reduce_network` returns the load-side matrix Y1, which depends on
+the line conductances and the droop gains only. `balance_newton` solves the
+constant-power balance, for both the equilibrium and the simulator's load flow.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ __all__ = [
     "PerronPair",
     "reduce_network",
     "perron",
+    "balance_newton",
     "min_symmetric_eigenvalue",
 ]
+
+_EQ_TOL = 1e-12               # max|u - zeta + A(1/u)| / u_ref that ends `balance_newton`
 
 @dataclass(frozen=True)
 class PerronPair(Record):
@@ -92,7 +96,37 @@ def perron(Y1_inv: np.ndarray, P: np.ndarray) -> PerronPair:
     return PerronPair(chi=chi, eta=eta)
 
 
+def balance_newton(zeta: np.ndarray | float, A: np.ndarray, u: np.ndarray, u_ref: float,
+                   steps: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Newton on G(u) = u - zeta + A(1/u) = 0 from u; returns (u, J, converged).
+
+    The constant-power balance u_i (c + Y u)_i = -P_i, divided by Y, reads
+    u = zeta - A(1/u) with zeta = -Y^-1 c and A = Y^-1 diag(P); a scalar
+    zeta stands for zeta*1. Converged means max|G(u)| <= _EQ_TOL*u_ref, in
+    volts whatever the units of r and P, checked before each of at most
+    `steps` Newton steps and once after the last; J = I - A diag(1/u^2) is
+    then G' at the returned root. An iterate that leaves the positive orthant
+    or a singular Jacobian ends the solve unconverged: the balance has no
+    physical root near the start.
+    """
+    for step in range(steps + 1):
+        G, J = u + A @ (1.0 / u) - zeta, np.eye(A.shape[0]) - A / (u * u)
+        if np.max(np.abs(G)) <= _EQ_TOL * u_ref:
+            return u, J, True
+        if step == steps:
+            break
+        try:
+            u = u - np.linalg.solve(J, G)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(u > 0):
+            break
+    return u, J, False
+
+
 def min_symmetric_eigenvalue(A: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
-    A = _symmetrize(np.asarray(A, dtype=float), "matrix")
-    return float(np.linalg.eigvalsh(A)[0])
+    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric or non-finite input)."""
+    A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix must be finite")
+    return float(np.linalg.eigvalsh(_symmetrize(A, "matrix"))[0])

@@ -13,13 +13,14 @@ linear: with x = (i_L, u_S) every Runge-Kutta stage derivative is
 dx = M x + N u_L + e, with M, N and e built once per event-free phase. A step
 runs 4 load flows: one for each of stages 2-4 and one at the step's end.
 Stage 1 sits at the state where the previous flow already balanced the
-loads, so it reuses that u_L. Each flow (`_LoadFlow`) warm-starts from the
-previous one and takes chord steps on an inverse Jacobian cached across
-flows; when the chord stalls it falls back to `_solve_balance`, plain
-Newton on the power balance and the package's only load-flow solver, from the
-same warm start. A scenario that schedules an activate-cpl event starts with
-the loads open (P = 0, linear solve) until the event fires; otherwise loads
-draw power from t = 0. A source with
+loads, so it reuses that u_L. Each flow (`_LoadFlow`) solves the paper's
+fixed-point form u_L = zeta - A(1/u_L), zeta = -Y_LL^-1 Y_LS u_S and
+A = Y_LL^-1 diag(P), to 1e-12*u_ref volts. It warm-starts from the previous
+flow and takes chord steps on an inverse Jacobian cached across flows; when
+the chord stalls it falls back to `linalg.balance_newton`, the Newton behind
+`existence.fixed_point_solve` too, from the same warm start. A scenario that
+schedules an activate-cpl event starts with the loads open (P = 0, A = 0)
+until the event fires; otherwise loads draw power from t = 0. A source with
 k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
 the virtual inductor remains.
 
@@ -47,6 +48,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import NumericalError, SpecError
+from .linalg import _EQ_TOL, balance_newton
 from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _read_json,
                       _require, build_admittance, parse_network)
 
@@ -65,7 +67,7 @@ _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
 _CSV_BLOCK = 1024              # trace rows formatted per write
 _CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
-_NEWTON_STEPS = 50             # Newton steps per `_solve_balance` call
+_NEWTON_STEPS = 50             # cap of the Newton fallback behind the chord
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
@@ -186,13 +188,8 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(_read_json(path))
 
 
-def _load_tol(P):
-    """Per-load residual bound of the load flow; None when every load is open."""
-    return 1e-9 * np.maximum(P, 1.0) if P.any() else None
-
-
 def _within(r, tol):
-    """Every |r_i| <= tol_i. On vectors this short, a list beats ndarray.all()."""
+    """Every |r_i| <= tol. On vectors this short, a list beats ndarray.all()."""
     return all((np.abs(r) <= tol).tolist())
 
 
@@ -200,99 +197,70 @@ def _above(u, floor):
     return all((u > floor).tolist())
 
 
-def _solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
-                   tol: float | np.ndarray) -> tuple[np.ndarray, bool]:
-    """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
-
-    Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
-    at most tol (a scalar or one bound per load), checked before each of at
-    most _NEWTON_STEPS Newton steps and once after the last. An iterate that
-    leaves the positive orthant or a singular Jacobian ends the solve
-    unconverged: the balance has no physical root near u0.
-    """
-    u = np.array(u0, dtype=float)
-    for step in range(_NEWTON_STEPS + 1):
-        current = c + Y @ u
-        r = u * current + P
-        if (np.abs(r) <= tol).all():
-            return u, True
-        if step == _NEWTON_STEPS:
-            break
-        try:
-            u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
-        except np.linalg.LinAlgError:
-            break
-        if (u <= 0).any():
-            break
-    return u, False
-
-
 class _LoadFlow:
     """The simulator's load flow: chord steps on a cached inverse Jacobian,
-    with the Newton solver `_solve_balance` behind them.
+    with `linalg.balance_newton` behind them.
 
-    A chord step is a Newton step that reuses J^-1, the inverse of the
-    balance's Jacobian diag(c + Y u) + diag(u) Y at an earlier root. At
-    dt = 1e-5 that Jacobian barely moves between Runge-Kutta stages, so one
-    chord step (a matvec) usually does the work of a Newton step (a solve).
-    One object serves one `simulate` call and keeps J^-1 across its flows.
+    A chord step is a Newton step that reuses J^-1, the inverse of
+    G' = I - A diag(1/u^2) at an earlier root. At dt = 1e-5 that Jacobian
+    barely moves between Runge-Kutta stages, so one chord step (a matvec)
+    usually does the work of a Newton step (a solve). One object serves one
+    `simulate` call: it inverts Y_LL once, re-forms A when the loads change
+    and keeps J^-1 across its flows.
     """
 
-    def __init__(self, partition: AdmittancePartition):
-        self._Y_LS = partition.Y_LS
-        self._Y = partition.Y_LL
-        self._J_inv = None
+    def __init__(self, partition: AdmittancePartition, u_ref: float):
+        self._Y_inv = Y_inv = np.linalg.inv(partition.Y_LL)
+        self._zeta_map = -Y_inv @ partition.Y_LS    # zeta = -Y_LL^-1 Y_LS u_S
+        self._u_ref, self._tol = u_ref, _EQ_TOL * u_ref
+        self._eye = np.eye(Y_inv.shape[0])
+        self._P = self._A = self._J_inv = None
 
-    def solve(self, u_S, P, tol, warm):
+    def solve(self, u_S, P, warm):
         """Load voltages that balance P at source voltages u_S; returns (u_L, converged).
 
-        `tol` is `_load_tol(P)`: with every load open the balance is linear.
-        Converged means every |u_i (c + Y u)_i + P_i| <= tol_i and u > 0, as
-        in `_solve_balance`. A warm start that passes is returned as is.
+        Converged means max|G(u)| <= 1e-12*u_ref and u > 0, as in
+        `balance_newton`. A warm start that passes is returned as is.
         Otherwise at most _CHORD_STEPS chord steps run, and the first iterate
         that passes gets one more chord step, kept if it passes too: a chord
         iterate tends to land just inside the bound, where Newton's quadratic
-        step lands far inside it, and the extra step restores that accuracy.
-        A chord that stalls (no pass within _CHORD_STEPS steps) or leaves
-        the positive orthant hands over to Newton from the same warm start,
-        so collapse still means that Newton from the warm start fails. J^-1
-        is refreshed at the root when the chord needed two or more steps or
-        Newton found the root. (`ndarray.dot` skips the dispatch of `@`,
-        which on vectors this short costs as much as the product itself.)
+        step lands far inside it. A chord that stalls or leaves the positive
+        orthant hands over to Newton from the same warm start, so collapse
+        still means that Newton failed. J^-1 is refreshed at the root when the
+        chord needed two or more steps or Newton found the root. (`ndarray.dot`
+        skips the dispatch of `@`, which on vectors this short costs as much as
+        the product itself.)
         """
-        Y = self._Y
-        c = self._Y_LS.dot(u_S)
-        if tol is None:
-            return np.linalg.solve(Y, -c), True
-        r = warm * (c + Y.dot(warm)) + P
-        if _within(r, tol):
+        if P is not self._P:
+            self._P, self._A = P, self._Y_inv * P
+        A, tol = self._A, self._tol
+        zeta = self._zeta_map.dot(u_S)
+        G = warm + A.dot(1.0 / warm) - zeta
+        if _within(G, tol):
             return warm, True
         J_inv = self._J_inv
         if J_inv is not None:
             u = warm
             for step in range(_CHORD_STEPS):
-                u = u - J_inv.dot(r)
+                u = u - J_inv.dot(G)
                 if not _above(u, 0.0):
                     break
-                current = c + Y.dot(u)
-                r = u * current + P
-                if _within(r, tol):
-                    extra = u - J_inv.dot(r)
-                    if _above(extra, 0.0):
-                        extra_current = c + Y.dot(extra)
-                        if _within(extra * extra_current + P, tol):
-                            u, current = extra, extra_current
+                G = u + A.dot(1.0 / u) - zeta
+                if _within(G, tol):
+                    extra = u - J_inv.dot(G)
+                    if _above(extra, 0.0) and _within(extra + A.dot(1.0 / extra) - zeta, tol):
+                        u = extra
                     if step:
-                        self._refresh(u, current)
+                        self._refresh(self._eye - A / (u * u))
                     return u, True
-        u, ok = _solve_balance(c, Y, P, warm, tol)
+        u, J, ok = balance_newton(zeta, A, warm, self._u_ref, _NEWTON_STEPS)
         if ok:
-            self._refresh(u, c + Y.dot(u))
+            self._refresh(J)
         return u, ok
 
-    def _refresh(self, u, current):
+    def _refresh(self, J):
         try:
-            self._J_inv = np.linalg.inv(np.diag(current) + u[:, None] * self._Y)
+            self._J_inv = np.linalg.inv(J)
         except np.linalg.LinAlgError:
             self._J_inv = None
 
@@ -302,17 +270,14 @@ def solve_load_voltages(u_S: np.ndarray, P: np.ndarray,
                         warm_start: np.ndarray) -> np.ndarray:
     """Load voltages satisfying u_i (Y_LS u_S + Y_LL u_L)_i = -P_i.
 
-    Warm-started Newton; raises NumericalError when the balance has no root
-    near the warm start (the integrator treats that as voltage collapse).
+    One flow of the simulator's load flow with no cached Jacobian, so Newton
+    on the fixed-point form from the warm start, stopped at 1e-12*max(u_S)
+    volts; raises NumericalError when the balance has no root near the warm
+    start (the integrator treats that as voltage collapse).
     """
     u_S = np.asarray(u_S, dtype=float)
-    P = np.asarray(P, dtype=float)
-    warm = np.asarray(warm_start, dtype=float)
-    c = partition.Y_LS @ u_S
-    tol = _load_tol(P)
-    if tol is None:
-        return np.linalg.solve(partition.Y_LL, -c)
-    u, ok = _solve_balance(c, partition.Y_LL, P, warm, tol)
+    u, ok = _LoadFlow(partition, float(np.max(u_S))).solve(
+        u_S, np.asarray(P, dtype=float), np.asarray(warm_start, dtype=float))
     if not ok:
         raise NumericalError("load power balance has no solution near the warm start")
     return u
@@ -323,8 +288,8 @@ class _Phase:
     the state update it implies.
 
     With the state x = (i_L, u_S), every stage derivative is the linear map
-    dx = M x + N u_L + e; `apply` rebuilds M, N, e, the load powers P in force
-    and their load-flow tolerance whenever an event changes the configuration.
+    dx = M x + N u_L + e; `apply` rebuilds M, N, e and the load powers P in
+    force whenever an event changes the configuration.
     """
 
     def __init__(self, spec: NetworkSpec, partition: AdmittancePartition, active: bool):
@@ -349,7 +314,6 @@ class _Phase:
 
     def _build(self):
         self.P = self.P_set if self.active else np.zeros_like(self.P_set)
-        self.tol = _load_tol(self.P)
         # X d(i_L)/dt = u_ref*1 - K i_L - u_S and C d(u_S)/dt = i_L - Y_SS u_S - Y_SL u_L
         # (e carries u_ref/X as u_ref*(1/X), so that u_S = u_ref cancels exactly)
         inv_X = 1.0 / np.where(self.k > 0, self.b * self.k, self.b)
@@ -394,8 +358,8 @@ def simulate(scenario: Scenario) -> SimulationTrace:
         applied.append((ev.t, ev.describe()))
 
     x = np.concatenate([np.zeros(n), u_ref * np.ones(n)])
-    load_flow = _LoadFlow(partition).solve
-    u_L, ok = load_flow(x[n:], phase.P, phase.tol, u_ref * np.ones(m))
+    load_flow = _LoadFlow(partition, u_ref).solve
+    u_L, ok = load_flow(x[n:], phase.P, u_ref * np.ones(m))
     if not ok:
         raise SpecError("initial state admits no load-flow solution", field="scenario")
 
@@ -439,14 +403,14 @@ def simulate(scenario: Scenario) -> SimulationTrace:
             dx_sum = dx
             for node, weight in _RK4_STAGES[1:]:
                 x_stage = x + node * h * dx
-                warm_next, ok = load_flow(x_stage[n:], phase.P, phase.tol, warm)
+                warm_next, ok = load_flow(x_stage[n:], phase.P, warm)
                 if not ok:
                     return finish("collapsed", t, load_ids[int(np.argmin(warm))])
                 warm = warm_next
                 dx = phase.M.dot(x_stage) + phase.N.dot(warm) + phase.e
                 dx_sum = dx_sum + weight * dx
             x = x + (h / 6.0) * dx_sum
-            u_next, ok = load_flow(x[n:], phase.P, phase.tol, warm)
+            u_next, ok = load_flow(x[n:], phase.P, warm)
             if not ok or not _above(u_next, _COLLAPSE_FLOOR):
                 node = load_ids[int(np.argmin(u_next if ok else warm))]
                 return finish("collapsed", t, node)
@@ -461,7 +425,7 @@ def simulate(scenario: Scenario) -> SimulationTrace:
             phase.apply(ev)
             applied.append((ev.t, ev.describe()))
             # re-pin the algebraic variable under the new load constraint
-            u_L, ok = load_flow(x[n:], phase.P, phase.tol, u_L)
+            u_L, ok = load_flow(x[n:], phase.P, u_L)
             if not ok:
                 return finish("collapsed", t, load_ids[int(np.argmin(u_L))])
 

@@ -79,6 +79,8 @@ def effective_admittance(partition: AdmittancePartition, r_load: np.ndarray) -> 
     singular inner matrix means the linearization is invalid at this point.
     """
     r_load = np.asarray(r_load, dtype=float)
+    if r_load.shape != (partition.Y_LL.shape[0],) or np.any(np.isnan(r_load) | (r_load == 0)):
+        raise DomainError("expected one nonzero, non-NaN incremental resistance per load")
     g = np.where(np.isinf(r_load), 0.0, 1.0 / r_load)
     inner = partition.Y_LL + np.diag(g)
     try:
@@ -90,16 +92,22 @@ def effective_admittance(partition: AdmittancePartition, r_load: np.ndarray) -> 
 
 def jacobian(Y_eq: np.ndarray, k: np.ndarray, C: np.ndarray, b: float) -> np.ndarray:
     """Closed-loop Jacobian J2 = [[-I/b, -K^-1/b], [C^-1, -C^-1 Y_eq]]."""
-    k = np.asarray(k, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if not (0 < b < np.inf and all(np.all(np.isfinite(v) & (v > 0)) for v in (k, C))):
-        raise DomainError("b, virtual resistances, and capacitances must be positive and finite")
+    C, k = _controller(C, k, b)
     n = k.shape[0]
     Cinv = np.diag(1.0 / C)
     return np.block([
         [-np.eye(n) / b, -np.diag(1.0 / k) / b],
         [Cinv, -Cinv @ Y_eq],
     ])
+
+
+def _controller(C, k, b=1.0):
+    """C and k as arrays, once they and b are checked positive and finite."""
+    C = np.asarray(C, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if not (0 < b < np.inf and all(np.all(np.isfinite(v) & (v > 0)) for v in (k, C))):
+        raise DomainError("b, virtual resistances, and capacitances must be positive and finite")
+    return C, k
 
 
 def _posdef(A: np.ndarray) -> bool:
@@ -113,8 +121,7 @@ def sufficient_stability(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray, b: floa
     Sufficient for the Hurwitz property, never necessary; the gap between
     this flag and the spectral abscissa is expected and reported separately.
     """
-    C = np.asarray(C, dtype=float)
-    k = np.asarray(k, dtype=float)
+    C, k = _controller(C, k, b)
     return _posdef(np.diag(C) + b * Y_eq) and _posdef(np.diag(1.0 / k) + b * Y_eq)
 
 
@@ -127,13 +134,12 @@ def b_max(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray) -> float:
     largest b the conditions admit, not that b itself: on the reference grid
     they still hold at 1.05*b0.
     """
+    C, k = _controller(C, k)
     return _b0(Y_eq, min_symmetric_eigenvalue(Y_eq), C, k)
 
 
 def _b0(Y_eq, lam1, C, k):
     """`b_max` given lambda1(Y_eq), so a report needs one eigen-solve."""
-    C = np.asarray(C, dtype=float)
-    k = np.asarray(k, dtype=float)
     if lam1 >= -1e-12 * np.max(np.abs(Y_eq)):  # PSD up to roundoff
         return np.inf
     return float(min(-C.min() / lam1, -1.0 / (lam1 * k.max())))

@@ -6,10 +6,12 @@ final sample and the trailing `#` lines. `tests/test_golden_traces.py`
 re-simulates the scenarios and compares against them.
 
 The files are a reference, not a record of the simulator's own output: they
-are written with every load flow solved by plain Newton (`_solve_balance`)
-to 1e-3 times the simulator's load-flow tolerance, so the test measures how
-far the simulator strays from the balance it is meant to hold. Rewrite them
-only when the model or the integrator changes on purpose:
+are written with every load flow solved by plain Newton on the power balance
+in watts (`oracles.solve_balance`), to |u_i (c + Y u)_i + P_i| <=
+1e-3 * 1e-9*max(P_i, 1) W, so the test measures how far the simulator's
+fixed-point load flow, stopped in volts, strays from the balance it is meant
+to hold. Rewrite them only when the model or the integrator changes on
+purpose:
 
     PYTHONPATH=src python3 tests/golden_traces.py
 """
@@ -23,33 +25,39 @@ from pathlib import Path
 import numpy as np
 
 from dcgrid import load_scenario, simulate
+from oracles import solve_balance
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("load_step_stable", "load_step_collapse", "soft_start_high_uref")
 DATA = Path(__file__).resolve().parent / "data"
 EVERY = 100
-REFERENCE_TOL = 1e-3   # the reference's load flows meet this fraction of the tolerance
+REFERENCE_TOL = 1e-3   # the reference's load flows meet this fraction of 1e-9*max(P, 1) W
 
 _simulate = importlib.import_module("dcgrid.simulate")
 
 
 @contextlib.contextmanager
 def newton_load_flow(tol_scale=1.0):
-    """Within the block, `simulate` solves every load flow by plain Newton from
-    its warm start to `tol_scale` times the load-flow tolerance; at 1 it is the
-    Newton load flow that the chord steps stand in for."""
-    def solve(flow, u_S, P, tol, warm):
-        c = flow._Y_LS @ u_S
-        if tol is None:
-            return np.linalg.solve(flow._Y, -c), True
-        return _simulate._solve_balance(c, flow._Y, P, warm, tol_scale * tol)
+    """Within the block, `simulate` solves every load flow by plain Newton on
+    the power balance in watts from its warm start, to `tol_scale` times
+    1e-9*max(P_i, 1) W per load, and by a linear solve with every load open."""
 
-    chord = _simulate._LoadFlow.solve
-    _simulate._LoadFlow.solve = solve
+    class WattNewton:
+        def __init__(self, partition, u_ref):
+            self._Y_LS, self._Y = partition.Y_LS, partition.Y_LL
+
+        def solve(self, u_S, P, warm):
+            c = self._Y_LS @ u_S
+            if not P.any():
+                return np.linalg.solve(self._Y, -c), True
+            return solve_balance(c, self._Y, P, warm, tol_scale * 1e-9 * np.maximum(P, 1.0))
+
+    flow = _simulate._LoadFlow
+    _simulate._LoadFlow = WattNewton
     try:
         yield
     finally:
-        _simulate._LoadFlow.solve = chord
+        _simulate._LoadFlow = flow
 
 
 def shipped_trace(name: str, newton_tol: float | None = None):

@@ -16,7 +16,9 @@ published bracket floor, `threshold_bounds` recomputes both bounds of a
 threshold certificate from A alone, `multiplicative_ascent` is the
 first-order route to the same threshold that `dcgrid.dual_ascent` must
 agree with, `multistart_newton` searches for
-equilibria with no certificate at all, and `trace_csv` is the row-by-row
+equilibria with no certificate at all, `solve_balance` is plain Newton on
+the power balance in watts, the reference that the package's fixed-point
+load flow is held against, and `trace_csv` is the row-by-row
 writer that `SimulationTrace.to_csv` must match byte for byte. The
 package itself uses none of them.
 """
@@ -337,6 +339,36 @@ def multistart_newton(u_ref, Y1, P, seed=0, starts=17, steps=60):
             if np.any(u <= 0):
                 break
     return best
+
+
+_NEWTON_STEPS = 50  # Newton steps per `solve_balance` call
+
+
+def solve_balance(c: np.ndarray, Y: np.ndarray, P: np.ndarray, u0: np.ndarray,
+                  tol: float | np.ndarray) -> tuple[np.ndarray, bool]:
+    """Newton solve of the power balance u_i (c + Y u)_i = -P_i from u0.
+
+    Returns (u, converged). Converged means every |u_i (c + Y u)_i + P_i| is
+    at most tol (a scalar or one bound per load), checked before each of at
+    most _NEWTON_STEPS Newton steps and once after the last. An iterate that
+    leaves the positive orthant or a singular Jacobian ends the solve
+    unconverged: the balance has no physical root near u0.
+    """
+    u = np.array(u0, dtype=float)
+    for step in range(_NEWTON_STEPS + 1):
+        current = c + Y @ u
+        r = u * current + P
+        if (np.abs(r) <= tol).all():
+            return u, True
+        if step == _NEWTON_STEPS:
+            break
+        try:
+            u = u - np.linalg.solve(np.diag(current) + u[:, None] * Y, r)
+        except np.linalg.LinAlgError:
+            break
+        if (u <= 0).any():
+            break
+    return u, False
 
 
 def trace_csv(trace, fh) -> None:

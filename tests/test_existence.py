@@ -1,6 +1,5 @@
 """Thresholds, the threshold certificate, the order bracket, and equilibrium solving."""
 
-import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +12,7 @@ from dcgrid import existence
 from dcgrid.existence import _F, _residual, analytic_thresholds
 from conftest import HEAVY, LIGHT, variant
 from oracles import (f_matrix, f_pair, g_exact, load_matrix, multistart_newton,
-                     optimize_weights)
-
-_solve_balance = importlib.import_module("dcgrid.simulate")._solve_balance
+                     optimize_weights, solve_balance)
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
@@ -168,8 +165,8 @@ def test_fixed_point_rejects_low_voltage_root(light):
     # reach that root inside the bracket; only the M-matrix check sees it
     spec, reduced, A = light
     Y1, u_ref = reduced.Y1, 89.64
-    low_root, ok = _solve_balance(-u_ref * Y1.sum(axis=1), Y1, LIGHT,
-                                  0.4 * u_ref * np.ones(6), 1e-10 * u_ref**2)
+    low_root, ok = solve_balance(-u_ref * Y1.sum(axis=1), Y1, LIGHT,
+                                 0.4 * u_ref * np.ones(6), 1e-10 * u_ref**2)
     assert ok
     high_root = certify(spec).u_load
     assert np.all(low_root < high_root - 1.0)

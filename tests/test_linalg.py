@@ -175,6 +175,8 @@ def test_min_symmetric_eigenvalue():
     assert min_symmetric_eigenvalue(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)
     with pytest.raises(DomainError):
         min_symmetric_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        min_symmetric_eigenvalue(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_qep_scalar_closed_form():

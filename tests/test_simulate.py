@@ -297,23 +297,25 @@ def test_shipped_scenarios_do_not_depend_on_dt(name):
     assert gap <= 1e-6 * coarse_sc.spec.control.u_ref
 
 
-def _balance_holds(partition, u_S, P, u):
-    """The load-flow acceptance check, written out as `_solve_balance` makes it."""
-    r = u * (partition.Y_LS @ u_S + partition.Y_LL @ u) + P
-    return bool((np.abs(r) <= 1e-9 * np.maximum(P, 1.0)).all() and (u > 0).all())
+def _fixed_point_holds(flow, u_S, P, u):
+    """The load-flow acceptance check, written out as `balance_newton` makes it:
+    max|u - zeta + A(1/u)| <= 1e-12*u_ref and u > 0, on the flow's zeta and A."""
+    zeta = flow._zeta_map @ u_S
+    G = u + (flow._Y_inv * P) @ (1.0 / u) - zeta
+    return bool(np.max(np.abs(G)) <= 1e-12 * flow._u_ref and (u > 0).all())
 
 
 def _newton_calls(monkeypatch):
-    """Record the warm start and the outcome of every `_solve_balance` call."""
+    """Record the start and the outcome of every `balance_newton` call of the simulator."""
     calls = []
-    newton = _sim._solve_balance
+    newton = _sim.balance_newton
 
-    def recorded(c, Y, P, u0, tol):
-        u, ok = newton(c, Y, P, u0, tol)
+    def recorded(zeta, A, u0, u_ref, steps):
+        u, J, ok = newton(zeta, A, u0, u_ref, steps)
         calls.append((u0, ok))
-        return u, ok
+        return u, J, ok
 
-    monkeypatch.setattr(_sim, "_solve_balance", recorded)
+    monkeypatch.setattr(_sim, "balance_newton", recorded)
     return calls
 
 
@@ -322,20 +324,19 @@ def test_stalled_chord_falls_back_to_newton(monkeypatch):
     # away from the root; Newton from the same warm start still finds it
     partition = _TABLE1_PARTITION
     u_S, P = 89.64 * np.ones(4), LIGHT
-    tol = _sim._load_tol(P)
     root = solve_load_voltages(u_S, P, partition, 89.64 * np.ones(6))
-    J = np.diag(partition.Y_LS @ u_S + partition.Y_LL @ root) + root[:, None] * partition.Y_LL
+    A = np.linalg.inv(partition.Y_LL) * P
     calls = _newton_calls(monkeypatch)
-    flow = _sim._LoadFlow(partition)
-    flow._J_inv = -np.linalg.inv(J)
+    flow = _sim._LoadFlow(partition, 89.64)
+    flow._J_inv = -np.linalg.inv(np.eye(6) - A / (root * root))
     warm = 1.001 * root
-    u, ok = flow.solve(u_S, P, tol, warm)
-    assert ok and _balance_holds(partition, u_S, P, u)
+    u, ok = flow.solve(u_S, P, warm)
+    assert ok and _fixed_point_holds(flow, u_S, P, u)
     assert len(calls) == 1 and calls[0][0] is warm
     # the fallback refreshed the Jacobian at its root, so the chord takes the next flow
     u_S = 0.9999 * u_S
-    u, ok = flow.solve(u_S, P, tol, u)
-    assert ok and _balance_holds(partition, u_S, P, u)
+    u, ok = flow.solve(u_S, P, u)
+    assert ok and _fixed_point_holds(flow, u_S, P, u)
     assert len(calls) == 1
 
 
@@ -346,8 +347,8 @@ def test_infeasible_load_collapse_comes_from_newton_fallback(monkeypatch):
     solve = _sim._LoadFlow.solve
     flows = []
 
-    def recorded(flow, u_S, P, tol, warm):
-        u, ok = solve(flow, u_S, P, tol, warm)
+    def recorded(flow, u_S, P, warm):
+        u, ok = solve(flow, u_S, P, warm)
         flows.append((warm, ok))
         return u, ok
 
@@ -365,36 +366,53 @@ def test_infeasible_load_collapse_comes_from_newton_fallback(monkeypatch):
     assert len(newton_calls) < len(flows) / 10  # the chord carried the run
 
 
-@given(seed=st.integers(min_value=0, max_value=2**31),
+def _m24_document():
+    """perfbench's step-m24 grid: a seeded 24-load grid at 1.3*tau4."""
+    doc = random_grid_document(np.random.default_rng(24), m=24)
+    doc["control"]["u_ref"] = 1.3 * prepare(parse_network(doc)).tau_contraction
+    return doc
+
+
+_M24 = parse_network(_m24_document())
+# (partition, u_ref, load powers) of the 6-load reference grid and the 24-load grid
+_FLOW_GRIDS = ((_TABLE1_PARTITION, 89.64, LIGHT),
+               (build_admittance(_M24), _M24.control.u_ref, _M24.p_vector()))
+
+
+@given(grid=st.sampled_from(_FLOW_GRIDS),
+       seed=st.integers(min_value=0, max_value=2**31),
        spread=st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1]),
        stale=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 1e-1, 0.5]),
        heavy=st.floats(min_value=0.1, max_value=3.0))
 @settings(max_examples=300, deadline=None)
-def test_every_accepted_load_flow_passes_the_balance_check(seed, spread, stale, heavy):
+def test_every_accepted_load_flow_passes_the_balance_check(grid, seed, spread, stale, heavy):
     # random source voltages, load powers, warm starts `spread` away from the
     # root and inverse Jacobians cached at points `stale` away from it: what
-    # the load flow accepts passes the check, and what it rejects, Newton
-    # from the same warm start rejects too
+    # the load flow accepts has max|u - zeta + A(1/u)| <= 1e-12*u_ref and
+    # u > 0, and what it rejects, Newton from the same warm start rejects too
+    partition, u_ref, P0 = grid
+    n, m = partition.Y_SS.shape[0], P0.shape[0]
     rng = np.random.default_rng(seed)
-    partition = _TABLE1_PARTITION
-    u_S = 89.64 * rng.uniform(0.97, 1.03, 4)
-    P = heavy * LIGHT * rng.uniform(0.5, 1.5, 6)
-    P[1:][rng.random(5) < 0.2] = 0.0
-    tol = _sim._load_tol(P)
-    c = partition.Y_LS @ u_S
-    root, found = _sim._solve_balance(c, partition.Y_LL, P, 89.64 * np.ones(6), tol)
-    centre = root if found else 89.64 * rng.uniform(0.5, 1.0, 6)
-    warm = centre * (1 + spread * rng.uniform(-1, 1, 6))
-    flow = _sim._LoadFlow(partition)
+    u_S = u_ref * rng.uniform(0.97, 1.03, n)
+    P = heavy * P0 * rng.uniform(0.5, 1.5, m)
+    P[1:][rng.random(m - 1) < 0.2] = 0.0
+    flow = _sim._LoadFlow(partition, u_ref)
+    zeta, A = flow._zeta_map @ u_S, flow._Y_inv * P
+
+    def newton(start):
+        return _sim.balance_newton(zeta, A, start, u_ref, _sim._NEWTON_STEPS)
+
+    root, _, found = newton(u_ref * np.ones(m))
+    centre = root if found else u_ref * rng.uniform(0.5, 1.0, m)
+    warm = centre * (1 + spread * rng.uniform(-1, 1, m))
     if stale:
-        u_J = centre * (1 + stale * rng.uniform(-1, 1, 6))
-        J = np.diag(c + partition.Y_LL @ u_J) + u_J[:, None] * partition.Y_LL
-        flow._J_inv = np.linalg.inv(J)
-    u, ok = flow.solve(u_S, P, tol, warm)
+        u_J = centre * (1 + stale * rng.uniform(-1, 1, m))
+        flow._J_inv = np.linalg.inv(np.eye(m) - A / (u_J * u_J))
+    u, ok = flow.solve(u_S, P, warm)
     if ok:
-        assert _balance_holds(partition, u_S, P, u)
+        assert _fixed_point_holds(flow, u_S, P, u)
     else:
-        assert not _sim._solve_balance(c, partition.Y_LL, P, warm, tol)[1]
+        assert not newton(warm)[2]
 
 
 def _comment_lines(trace):
@@ -412,10 +430,9 @@ def test_shipped_scenarios_end_as_with_plain_newton(name):
 
 
 def test_m24_load_step_ends_as_with_plain_newton():
-    # perfbench's step-m24 shape: a seeded 24-load grid at 1.3*tau4 whose
-    # loads step from half to full power
-    doc = random_grid_document(np.random.default_rng(24), m=24)
-    doc["control"]["u_ref"] = 1.3 * prepare(parse_network(doc)).tau_contraction
+    # perfbench's step-m24 shape: the 24-load grid above, whose loads step
+    # from half to full power
+    doc = _m24_document()
     full = [load["P"] for load in doc["loads"]]
     for load in doc["loads"]:
         load["P"] *= 0.5
@@ -430,4 +447,3 @@ def test_m24_load_step_ends_as_with_plain_newton():
     assert chord.termination == "completed"
     u_ref = sc.spec.control.u_ref
     assert np.max(np.abs(chord.u_load - newton.u_load)) <= 1e-8 * u_ref
-

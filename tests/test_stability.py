@@ -87,6 +87,29 @@ def test_damping_bound_infinite_without_cpl(table1_partition, table1_spec):
     assert np.isinf(b_max(Y_eq, table1_spec.c_diag(), table1_spec.k_diag()))
 
 
+def test_sufficient_stability_rejects_nan_damping(table1_partition, table1_spec,
+                                                 light_equilibrium):
+    Y_eq = effective_admittance(table1_partition, cpl_linearize(light_equilibrium, LIGHT))
+    with pytest.raises(DomainError):
+        sufficient_stability(Y_eq, table1_spec.c_diag(), table1_spec.k_diag(), float("nan"))
+
+
+def test_damping_bound_rejects_nan_capacitance(table1_partition, table1_spec,
+                                               light_equilibrium):
+    Y_eq = effective_admittance(table1_partition, cpl_linearize(light_equilibrium, LIGHT))
+    C = table1_spec.c_diag().copy()
+    C[2] = np.nan
+    with pytest.raises(DomainError):
+        b_max(Y_eq, C, table1_spec.k_diag())
+
+
+def test_effective_admittance_rejects_nan_resistance(table1_partition, light_equilibrium):
+    r = cpl_linearize(light_equilibrium, LIGHT)
+    r[3] = np.nan
+    with pytest.raises(DomainError):
+        effective_admittance(table1_partition, r)
+
+
 def test_analyze_stable_at_reference_point(table1_spec, light_equilibrium):
     rep = analyze_stability(table1_spec, light_equilibrium)
     assert rep.verdict == "stable"
