@@ -129,8 +129,7 @@ def cmd_analyze(args) -> int:
     print(_render(record))
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(record, indent=2) + "\n")
     return record["exit_code"]
 
 

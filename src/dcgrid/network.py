@@ -18,6 +18,7 @@ then loads in declaration order.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -114,21 +115,30 @@ def _require(cond, message, field):
 
 
 def _number(obj, key, path, positive=False, nonnegative=False):
-    _require(key in obj, "missing required key", f"{path}.{key}")
-    return _finite(obj[key], f"{path}.{key}", positive, nonnegative)
+    """obj[key] as a finite float; the field path is formatted only for an error."""
+    problem = (_number_problem(obj[key], positive, nonnegative) if key in obj
+               else "missing required key")
+    if problem:
+        raise SpecError(problem, field=f"{path}.{key}")
+    return float(obj[key])
 
 
-def _finite(val, field, positive=False, nonnegative=False):
-    """val as a finite float; booleans, NaN and infinities are rejected."""
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             "expected a number", field)
-    val = float(val)
-    _require(np.isfinite(val), "must be finite", field)
-    if positive:
-        _require(val > 0, "must be > 0", field)
-    if nonnegative:
-        _require(val >= 0, "must be >= 0", field)
-    return val
+def _number_problem(val, positive=False, nonnegative=False):
+    """Why val is not an acceptable number, or None. Booleans, non-numbers, NaN,
+    infinities and integers beyond the float range are rejected."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return "expected a number"
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:
+        finite = False
+    if not finite:
+        return "must be finite"
+    if positive and not val > 0:
+        return "must be > 0"
+    if nonnegative and not val >= 0:
+        return "must be >= 0"
+    return None
 
 
 def _node_id(obj, key, path):

@@ -15,14 +15,16 @@ runs 4 load flows: one for each of stages 2-4 and one at the step's end.
 Stage 1 sits at the state where the previous flow already balanced the
 loads, so it reuses that u_L. Each flow (`_LoadFlow`) solves the paper's
 fixed-point form u_L = zeta - A(1/u_L), zeta = -Y_LL^-1 Y_LS u_S and
-A = Y_LL^-1 diag(P), to 1e-12*u_ref volts. It warm-starts from the previous
-flow and takes chord steps on an inverse Jacobian cached across flows; when
-the chord stalls it falls back to `linalg.balance_newton`, the Newton behind
-`existence.fixed_point_solve` too, from the same warm start. A scenario that
-schedules an activate-cpl event starts with the loads open (P = 0, A = 0)
-until the event fires; otherwise loads draw power from t = 0. A source with
-k_i = 0 runs undamped with X_i = b * 1 ohm: the droop term vanishes and only
-the virtual inductor remains.
+A = Y_LL^-1 diag(P). It warm-starts from the previous flow and takes chord
+steps on an inverse Jacobian cached across flows until the residual reaches
+the rounding floor ||G||_2 <= 1e-14*u_ref volts; when the chord stops short
+of it, it falls back to `linalg.balance_newton`, the Newton behind
+`existence.fixed_point_solve` too, from the same warm start, which stops at
+max|G| <= 1e-12*u_ref. A scenario that schedules an activate-cpl event
+starts with the loads open (P = 0, A = 0) until the event fires; otherwise
+loads draw power from t = 0. A source with k_i = 0 runs undamped with
+X_i = b * 1 ohm: the droop term vanishes and only the virtual inductor
+remains.
 
 Collapse is detected by the failure of that Newton fallback (the power
 balance lost its real root near the previous solution) or any load voltage
@@ -48,9 +50,9 @@ import numpy as np
 
 from ._record import Record
 from .errors import NumericalError, SpecError
-from .linalg import _EQ_TOL, balance_newton
-from .network import (AdmittancePartition, NetworkSpec, _finite, _number, _read_json,
-                      _require, build_admittance, parse_network)
+from .linalg import balance_newton
+from .network import (AdmittancePartition, NetworkSpec, _number, _number_problem,
+                      _read_json, _require, build_admittance, parse_network)
 
 __all__ = [
     "Event",
@@ -67,6 +69,8 @@ _MAX_SAMPLES = 100_000
 _COLLAPSE_FLOOR = 1.0          # volts
 _CSV_BLOCK = 1024              # trace rows formatted per write
 _CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
+_REFRESH_STEPS = 3             # chord steps to the floor that refresh J^-1 at the root
+_FLOW_FLOOR = 1e-14            # ||G||_2 / u_ref that ends the chord: the rounding floor
 _NEWTON_STEPS = 50             # cap of the Newton fallback behind the chord
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
@@ -148,7 +152,11 @@ def _vector(obj, key, path, length):
     val = obj[key]
     _require(isinstance(val, list) and len(val) == length,
              f"expected a list of {length} numbers", field)
-    return np.array([_finite(v, f"{field}[{i}]", nonnegative=True) for i, v in enumerate(val)])
+    for i, v in enumerate(val):
+        problem = _number_problem(v, nonnegative=True)
+        if problem:
+            raise SpecError(problem, field=f"{field}[{i}]")
+    return np.array(val, dtype=float)
 
 
 def parse_scenario(document: dict) -> Scenario:
@@ -188,11 +196,6 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(_read_json(path))
 
 
-def _within(r, tol):
-    """Every |r_i| <= tol. On vectors this short, a list beats ndarray.all()."""
-    return all((np.abs(r) <= tol).tolist())
-
-
 def _above(u, floor):
     return all((u > floor).tolist())
 
@@ -212,45 +215,43 @@ class _LoadFlow:
     def __init__(self, partition: AdmittancePartition, u_ref: float):
         self._Y_inv = Y_inv = np.linalg.inv(partition.Y_LL)
         self._zeta_map = -Y_inv @ partition.Y_LS    # zeta = -Y_LL^-1 Y_LS u_S
-        self._u_ref, self._tol = u_ref, _EQ_TOL * u_ref
+        self._u_ref = u_ref
+        self._floor_sq = (_FLOW_FLOOR * u_ref) ** 2
         self._eye = np.eye(Y_inv.shape[0])
         self._P = self._A = self._J_inv = None
 
     def solve(self, u_S, P, warm):
         """Load voltages that balance P at source voltages u_S; returns (u_L, converged).
 
-        Converged means max|G(u)| <= 1e-12*u_ref and u > 0, as in
-        `balance_newton`. A warm start that passes is returned as is.
-        Otherwise at most _CHORD_STEPS chord steps run, and the first iterate
-        that passes gets one more chord step, kept if it passes too: a chord
-        iterate tends to land just inside the bound, where Newton's quadratic
-        step lands far inside it. A chord that stalls or leaves the positive
-        orthant hands over to Newton from the same warm start, so collapse
-        still means that Newton failed. J^-1 is refreshed at the root when the
-        chord needed two or more steps or Newton found the root. (`ndarray.dot`
-        skips the dispatch of `@`, which on vectors this short costs as much as
-        the product itself.)
+        The chord has one stop: the rounding floor ||G(u)||_2 <= 1e-14*u_ref,
+        a hundredth of the bound max|G| <= 1e-12*u_ref that `balance_newton`
+        stops at, tested on the warm start (iterate 0) and after each of at
+        most _CHORD_STEPS chord steps. Stopping where rounding decides the
+        last digits keeps the answer from depending on how close a warm start
+        came to a looser bound. An iterate that leaves the positive orthant
+        (checked before 1/u is formed), or a chord that stops short of the
+        floor, hands over to Newton from the same warm start, so collapse
+        still means that Newton failed; its root meets the looser bound. J^-1
+        is refreshed at the root after _REFRESH_STEPS or more chord steps and
+        after every Newton fallback. (`ndarray.dot` skips the dispatch of `@`,
+        which on vectors this short costs as much as the product itself; a
+        NaN in G fails the floor test.)
         """
         if P is not self._P:
             self._P, self._A = P, self._Y_inv * P
-        A, tol = self._A, self._tol
+        A = self._A
         zeta = self._zeta_map.dot(u_S)
-        G = warm + A.dot(1.0 / warm) - zeta
-        if _within(G, tol):
-            return warm, True
         J_inv = self._J_inv
         if J_inv is not None:
             u = warm
-            for step in range(_CHORD_STEPS):
-                u = u - J_inv.dot(G)
-                if not _above(u, 0.0):
-                    break
+            for step in range(_CHORD_STEPS + 1):
+                if step:
+                    u = u - J_inv.dot(G)
+                    if not _above(u, 0.0):
+                        break
                 G = u + A.dot(1.0 / u) - zeta
-                if _within(G, tol):
-                    extra = u - J_inv.dot(G)
-                    if _above(extra, 0.0) and _within(extra + A.dot(1.0 / extra) - zeta, tol):
-                        u = extra
-                    if step:
+                if G.dot(G) <= self._floor_sq:
+                    if step >= _REFRESH_STEPS:
                         self._refresh(self._eye - A / (u * u))
                     return u, True
         u, J, ok = balance_newton(zeta, A, warm, self._u_ref, _NEWTON_STEPS)

@@ -40,6 +40,15 @@ def test_analyze_certified_stable(capsys, tmp_path):
     assert f"abscissa {record['stability']['abscissa']:.6g}" in text
 
 
+def test_analyze_out_is_indented_json(tmp_path):
+    # two-space indentation and one trailing newline; the float digits are
+    # whatever json.dumps prints for the record
+    out = tmp_path / "report.json"
+    main(["analyze", str(TABLE1), "--out", str(out)])
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_analyze_exists_but_unstable(capsys, table1_file):
     code = main(["analyze", table1_file(b=3e-3)])
     assert code == 1

@@ -66,6 +66,21 @@ def test_validation_diagnostics_carry_field_paths(table1_doc, mutate, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("value", [True, "1", float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10**400, id="int-1e400")])
+@pytest.mark.parametrize("part, key", [("sources", "V"), ("sources", "L"), ("sources", "C"),
+                                       ("sources", "k"), ("loads", "P"), ("lines", "r"),
+                                       ("control", "u_ref"), ("control", "b")])
+def test_malformed_numbers_rejected_with_field_path(table1_doc, part, key, value):
+    def mutate(d):
+        (d[part] if part == "control" else d[part][1])[key] = value
+
+    field = f"control.{key}" if part == "control" else f"{part}[1].{key}"
+    with pytest.raises(SpecError) as err:
+        parse_network(_mutate(table1_doc, mutate))
+    assert field in str(err.value)
+
+
 def test_parallel_lines_rejected(table1_doc):
     doc = _mutate(table1_doc, lambda d: d["lines"].append({"a": "1", "b": "5", "r": 0.3}))
     with pytest.raises(SpecError):
