@@ -8,7 +8,7 @@ hangs off a single JSON grid document; see `network` for the schema.
 """
 
 from .errors import DomainError, NumericalError, SpecError
-from .existence import (Bracket, ExistenceCertificate, PreparedGrid, Thresholds,
+from .existence import (ExistenceCertificate, PreparedGrid, Thresholds,
                         analytic_thresholds, bracket, certify, dual_ascent,
                         fixed_point_solve, prepare)
 from .linalg import PerronPair, min_symmetric_eigenvalue, perron, reduce_network
@@ -17,18 +17,17 @@ from .network import (AdmittancePartition, ControlParams, Line, LoadNode,
                       check_connected, load_network, parse_network)
 from .simulate import (Event, Scenario, SimulationTrace, load_scenario,
                        parse_scenario, simulate, solve_load_voltages)
-from .stability import (StabilityReport, analyze_stability, b_max,
-                        cpl_linearize, effective_admittance, jacobian,
-                        sufficient_stability)
+from .stability import (StabilityReport, analyze_stability, cpl_linearize,
+                        effective_admittance, jacobian, sufficient_stability)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmittancePartition", "Bracket", "ControlParams", "DomainError",
+    "AdmittancePartition", "ControlParams", "DomainError",
     "Event", "ExistenceCertificate", "Line", "LoadNode", "NetworkSpec",
     "NumericalError", "PerronPair", "PreparedGrid", "Scenario",
     "SimulationTrace", "SourceNode", "SpecError", "StabilityReport", "Thresholds",
-    "analytic_thresholds", "analyze_stability", "b_max", "bracket",
+    "analytic_thresholds", "analyze_stability", "bracket",
     "build_admittance", "certify", "check_connected", "cpl_linearize",
     "dual_ascent", "effective_admittance", "fixed_point_solve",
     "jacobian", "load_network",

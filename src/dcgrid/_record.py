@@ -17,23 +17,25 @@ class Record:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def to_dict(self) -> dict:
+        """The fields, in declaration order, as strict-JSON values.
 
-def to_json(record: Record) -> dict:
-    """The record's fields, in declaration order, as strict-JSON values.
-
-    Arrays become lists, a complex number [re, im], a numpy scalar the Python
-    one, and a non-finite float (inf where a quantity is unbounded) null.
-    """
-    return {f.name: _plain(getattr(record, f.name)) for f in dataclasses.fields(record)}
+        Arrays and tuples become lists, a nested dataclass (a grid's spec) a
+        dict, a complex number [re, im], a numpy scalar the Python one, and a
+        non-finite float (inf where a quantity is unbounded) null.
+        """
+        return _plain(self)
 
 
 def _plain(value):
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
-    if isinstance(value, list):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, complex):
         return [_plain(value.real), _plain(value.imag)]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value

@@ -18,12 +18,13 @@ orthant. The analyzer computes
   tau3  sufficient threshold obtained by evaluating q at the Perron vector,
   tau4  sufficient threshold from the infinity-norm contraction bound,
 
-builds the order bracket [h*xi, zeta], checks strictly in floats that F maps
-both corners inward (so a fixed point lies between, by Tarski), and finds the
-high-voltage equilibrium by Newton on u - F(u) = 0 from zeta, which descends
-monotonically to it and is accepted where I - A diag(1/u^2) is an M-matrix,
-which marks the greatest fixed point. That Newton, `linalg.balance_newton`,
-stops at max|u - F(u)| <= 1e-12*u_ref volts; the simulator's load flow runs it too.
+builds the floor h*xi of the order bracket [h*xi, zeta], zeta = u_ref*1,
+checks strictly in floats that F maps both corners inward (so a fixed point
+lies between, by Tarski), and finds the high-voltage equilibrium by Newton on
+u - F(u) = 0 from zeta, which descends monotonically to it and is accepted
+where I - A diag(1/u^2) is an M-matrix, which marks the greatest fixed point.
+That Newton, `linalg.balance_newton`, stops at max|u - F(u)| <= 1e-12*u_ref
+volts within its one cap of 50 steps; the simulator's load flow runs it too.
 
 `dual_ascent` solves that geometric program with a two-sided certificate: a
 dual vector w whose AM-GM bound tau_dual = 2 sum sqrt(w (A'w)) no equilibrium
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import Record, to_json
+from ._record import Record
 from .errors import DomainError, NumericalError
 from .linalg import PerronPair, balance_newton, perron, reduce_network
 from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
@@ -56,7 +57,6 @@ from .network import (AdmittancePartition, ControlParams, LoadNode, NetworkSpec,
 
 __all__ = [
     "ExistenceCertificate",
-    "Bracket",
     "PreparedGrid",
     "Thresholds",
     "dual_ascent",
@@ -71,13 +71,6 @@ _ASCENT_CAP = 50              # Newton steps; at most 10 reach the gap from psi
 _ASCENT_GAP = 1e-10           # relative primal-dual gap that ends the ascent
 _DUAL_MARGIN = 1e-9           # u_ref this far below tau_dual has no equilibrium
 _CORNER_SHRINK = 1e-10        # pulls the bracket's tight row off its bound
-_EQ_STEPS = 60                # Newton steps on u = F(u); 17 at most on the wide-range draws
-
-
-@dataclass(frozen=True)
-class Bracket(Record):
-    low: np.ndarray    # h*xi, volts, with F(low) >= low strictly
-    high: np.ndarray   # zeta = u_ref*1, volts
 
 
 @dataclass(frozen=True)
@@ -103,9 +96,6 @@ class ExistenceCertificate(Thresholds):
     residual: float | None                # inf-norm of the power balance at u_load
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return to_json(self)
-
 
 @dataclass(frozen=True)
 class PreparedGrid(Thresholds):
@@ -122,7 +112,6 @@ class PreparedGrid(Thresholds):
     Y1: np.ndarray                        # reduced load-side matrix, mxm
     P: np.ndarray                         # load powers, watts
     A: np.ndarray                         # Y1^-1 diag(P)
-    pair: PerronPair | None               # Perron pair of A; None when P = 0
 
     def with_uref(self, u_ref: float) -> PreparedGrid:
         """The same grid at another reference voltage u_ref > 0 (Y1 does not depend on it)."""
@@ -135,9 +124,8 @@ class PreparedGrid(Thresholds):
         """The same grid with every load power multiplied by s >= 0.
 
         A = Y1^-1 diag(P) is linear in P, so it becomes s*A with no solve:
-        the Perron vector and both weight vectors are unchanged, the primal
-        floor x becomes sqrt(s)*x, and every threshold is sqrt(s) times the
-        unscaled one. `certify` still verifies the bracket numerically on
+        both weight vectors are unchanged, the primal floor x becomes
+        sqrt(s)*x, and every threshold is sqrt(s) times the unscaled one. `certify` still verifies the bracket numerically on
         s*A rather than assuming it.
         """
         if not 0 <= s < np.inf:
@@ -145,10 +133,8 @@ class PreparedGrid(Thresholds):
         loads = tuple(LoadNode(id=l.id, P=l.P * s) for l in self.spec.loads)
         spec = dataclasses.replace(self.spec, loads=loads)
         root = float(np.sqrt(s))
-        pair = None if self.pair is None else PerronPair(chi=self.pair.chi * s,
-                                                         eta=self.pair.eta)
         return dataclasses.replace(
-            self, spec=spec, P=spec.p_vector(), A=s * self.A, pair=pair,
+            self, spec=spec, P=spec.p_vector(), A=s * self.A,
             tau_necessary=self.tau_necessary * root,
             tau_optimized=self.tau_optimized * root,
             tau_perron_vector=self.tau_perron_vector * root,
@@ -236,16 +222,16 @@ def _F(u_ref, A, u):
     return u_ref - A @ (1.0 / u)
 
 
-def bracket(q: np.ndarray, u_ref: float, A: np.ndarray) -> Bracket | None:
-    """Order interval [h*xi, zeta] that F maps into itself, or None if the check fails.
+def bracket(q: np.ndarray, u_ref: float, A: np.ndarray) -> np.ndarray | None:
+    """Floor h*xi of an order interval [h*xi, zeta] that F maps into itself, or None.
 
     With xi = 1/q, load i's quadratic h^2 - q_i u_ref h + q_i (A q)_i has
     discriminant u_ref^2 - 4 (A q)_i / q_i; clamped at 0, it gives
     h = min_i (q_i/2)(u_ref + sqrt(disc_i)), the paper's lower corner h*xi,
     shrunk by _CORNER_SHRINK because its tightest row sits exactly on the
-    bound. The upper corner is zeta = u_ref*1. The interval is returned only
+    bound. The upper corner is zeta = u_ref*1. The floor is returned only
     when F(h*xi) >= h*xi and F(zeta) <= zeta hold strictly in floats, so a
-    fixed point of the increasing F lies in it (Tarski); a row with a
+    fixed point of the increasing F lies between (Tarski); a row with a
     negative discriminant always fails the first check.
     """
     q = np.asarray(q, dtype=float)
@@ -259,7 +245,7 @@ def bracket(q: np.ndarray, u_ref: float, A: np.ndarray) -> Bracket | None:
     high = u_ref * np.ones(A.shape[0])
     if np.any(_F(u_ref, A, low) < low) or np.any(_F(u_ref, A, high) > high):
         return None
-    return Bracket(low=low, high=high)
+    return low
 
 
 def _residual(u, Y1, u_ref, P):
@@ -267,27 +253,29 @@ def _residual(u, Y1, u_ref, P):
     return u * (Y1 @ (u - u_ref)) + P
 
 
-def fixed_point_solve(u_ref: float, A: np.ndarray, brk: Bracket) -> np.ndarray:
+def fixed_point_solve(u_ref: float, A: np.ndarray, low: np.ndarray) -> np.ndarray:
     """The high-voltage equilibrium: monotone Newton on G(u) = u - F(u) from zeta.
 
     G = u + A(1/u) - u_ref*1 is convex, and G'(u) = I - A diag(1/u^2) is a
     Z-matrix that is a nonsingular M-matrix at and above the greatest root
-    u*; G(zeta) = A(1/zeta) >= 0. So `linalg.balance_newton` from zeta
-    decreases monotonically to u* (Ortega and Rheinboldt, 13.3) and stops
-    when max|G| <= 1e-12*u_ref, within _EQ_STEPS steps. The root must not lie
-    below the bracket floor, and z = G'^-1 1 > 0 with G'z > 0 must prove G'
-    an M-matrix at the root, i.e. rho(F'(u)) < 1: a concave increasing F
-    then has no other fixed point above u, so u is the greatest one. A failed
-    check raises NumericalError.
+    u*; G(zeta) = A(1/zeta) >= 0 at zeta = u_ref*1. So
+    `linalg.balance_newton` from zeta decreases monotonically to u* (Ortega
+    and Rheinboldt, 13.3) and stops when max|G| <= 1e-12*u_ref, within its
+    cap of 50 steps. The root must not lie below the bracket floor `low`,
+    and z = G'^-1 1 > 0 with G'z > 0 must prove G' an M-matrix at the root,
+    i.e. rho(F'(u)) < 1: a concave increasing F then has no other fixed
+    point above u, so u is the greatest one. A failed check raises
+    NumericalError.
     """
-    u, J, converged = balance_newton(u_ref, A, brk.high.copy(), u_ref, _EQ_STEPS)
+    zeta = u_ref * np.ones(A.shape[0])
+    u, J, converged = balance_newton(zeta, A, zeta, u_ref)
     if not converged:
         raise NumericalError("Newton on u = F(u) from zeta did not converge")
     try:
         z = np.linalg.solve(J, np.ones(A.shape[0]))
     except np.linalg.LinAlgError:
         raise NumericalError("singular Jacobian in Newton on u = F(u)") from None
-    if (u < brk.low).any():
+    if (u < low).any():
         raise NumericalError("Newton root left the bracket")
     if not (np.all(z > 0) and np.all(J @ z > 0)):
         raise NumericalError("Newton root failed the high-voltage check "
@@ -304,7 +292,7 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
     A = Y1_inv * P              # Y1^-1 diag(P), exact zero columns where P = 0
     if np.all(P == 0):
         return PreparedGrid(
-            spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=None,
+            spec=spec, partition=partition, Y1=Y1, P=P, A=A,
             tau_necessary=0.0, tau_optimized=0.0, tau_perron_vector=0.0,
             tau_contraction=0.0, tau_dual=0.0, q_weights=np.ones(spec.m),
             dual_weights=np.full(spec.m, 1.0 / spec.m), primal_floor=np.zeros(spec.m))
@@ -318,7 +306,7 @@ def prepare(spec: NetworkSpec) -> PreparedGrid:
     w, x, tau_dual = dual_ascent(A, psi)
     q = 1.0 / x
     return PreparedGrid(
-        spec=spec, partition=partition, Y1=Y1, P=P, A=A, pair=pair,
+        spec=spec, partition=partition, Y1=Y1, P=P, A=A,
         tau_necessary=2.0 * float(np.sum(np.sqrt(psi * (A.T @ psi)))),
         tau_optimized=float(np.max(x + A @ q)),
         tau_perron_vector=tau3, tau_contraction=tau4, tau_dual=tau_dual,
@@ -345,13 +333,12 @@ def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
 
     thresholds = {f.name: getattr(grid, f.name) for f in dataclasses.fields(Thresholds)}
 
-    def cert(verdict, brk, u, res, note=""):
-        return ExistenceCertificate(
-            **thresholds, bracket_low=None if brk is None else brk.low,
-            bracket_high=zeta, verdict=verdict, u_load=u, residual=res, note=note)
+    def cert(verdict, low, u, res, note=""):
+        return ExistenceCertificate(**thresholds, bracket_low=low, bracket_high=zeta,
+                                    verdict=verdict, u_load=u, residual=res, note=note)
 
     if np.all(P == 0):  # the thresholds of such a grid are all 0
-        return cert("certified-exists", Bracket(low=zeta.copy(), high=zeta), zeta.copy(), 0.0,
+        return cert("certified-exists", zeta.copy(), zeta.copy(), 0.0,
                     note="no constant power load; equilibrium is the open-circuit voltage")
 
     if u_ref <= grid.tau_necessary:
@@ -363,13 +350,13 @@ def certify(spec: NetworkSpec | PreparedGrid) -> ExistenceCertificate:
                     note=f"no equilibrium: reference voltage below the dual bound "
                          f"{grid.tau_dual:.10g} V")
 
-    brk = bracket(grid.q_weights, u_ref, grid.A)
-    if brk is None:
+    low = bracket(grid.q_weights, u_ref, grid.A)
+    if low is None:
         return cert("undetermined", None, None, None,
                     note=f"reference voltage within the certificate tolerance of the "
                          f"threshold ({grid.tau_dual:.10g} to {grid.tau_optimized:.10g} V)")
     try:
-        u = fixed_point_solve(u_ref, grid.A, brk)
+        u = fixed_point_solve(u_ref, grid.A, low)
     except NumericalError as exc:
-        return cert("undetermined", brk, None, None, note=f"solver diagnostics: {exc}")
-    return cert("certified-exists", brk, u, float(np.max(np.abs(_residual(u, Y1, u_ref, P)))))
+        return cert("undetermined", low, None, None, note=f"solver diagnostics: {exc}")
+    return cert("certified-exists", low, u, float(np.max(np.abs(_residual(u, Y1, u_ref, P)))))

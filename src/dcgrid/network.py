@@ -10,7 +10,8 @@ A grid document is JSON with four top-level keys::
     }
 
 Units: volts, henries, farads, ohms, watts. Sources are converter buses with
-virtual resistance k (droop); loads draw constant power P >= 0. Lines are purely
+virtual resistance k (droop); their V and L must be positive numbers, but the
+averaged model reads neither. Loads draw constant power P >= 0. Lines are purely
 resistive. Node ordering everywhere downstream is sources in declaration order,
 then loads in declaration order.
 """
@@ -44,8 +45,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SourceNode:
     id: int | str
-    V: float      # converter input voltage
-    L: float      # filter inductance
+    V: float      # converter input voltage; checked, unused by the averaged model
+    L: float      # filter inductance; checked, unused (the current runs behind X = b*k)
     C: float      # output capacitance
     k: float      # virtual resistance (droop), ohms
 
@@ -109,17 +110,24 @@ class AdmittancePartition(Record):
     Y_LL: np.ndarray
 
 
-def _require(cond, message, field):
+def _field(part, i=None, key=None):
+    """The dotted field path part[i].key; the index and the key are optional."""
+    path = part if i is None else f"{part}[{i}]"
+    return path if key is None else f"{path}.{key}"
+
+
+def _require(cond, message, part, i=None, key=None):
+    # the path is formatted only when raising, as in `_number`
     if not cond:
-        raise SpecError(message, field=field)
+        raise SpecError(message, field=_field(part, i, key))
 
 
-def _number(obj, key, path, positive=False, nonnegative=False):
+def _number(obj, key, part, i=None, positive=False, nonnegative=False):
     """obj[key] as a finite float; the field path is formatted only for an error."""
     problem = (_number_problem(obj[key], positive, nonnegative) if key in obj
                else "missing required key")
     if problem:
-        raise SpecError(problem, field=f"{path}.{key}")
+        raise SpecError(problem, field=_field(part, i, key))
     return float(obj[key])
 
 
@@ -141,11 +149,11 @@ def _number_problem(val, positive=False, nonnegative=False):
     return None
 
 
-def _node_id(obj, key, path):
-    _require(key in obj, "missing required key", f"{path}.{key}")
+def _node_id(obj, key, part, i):
+    _require(key in obj, "missing required key", part, i, key)
     val = obj[key]
     _require(isinstance(val, (str, int)) and not isinstance(val, bool),
-             "node id must be a string or an integer", f"{path}.{key}")
+             "node id must be a string or an integer", part, i, key)
     return val
 
 
@@ -159,51 +167,48 @@ def parse_network(document: dict) -> NetworkSpec:
     """
     _require(isinstance(document, dict), "document must be a JSON object", "$")
     for key in ("sources", "loads", "lines", "control"):
-        _require(key in document, "missing required key", f"$.{key}")
+        _require(key in document, "missing required key", "$", key=key)
 
     sources = []
     seen_ids = set()
     _require(isinstance(document["sources"], list) and len(document["sources"]) >= 1,
              "need at least one source", "sources")
     for i, s in enumerate(document["sources"]):
-        path = f"sources[{i}]"
-        _require(isinstance(s, dict), "expected an object", path)
-        node = _node_id(s, "id", path)
-        _require(node not in seen_ids, "duplicate node id", f"{path}.id")
+        _require(isinstance(s, dict), "expected an object", "sources", i)
+        node = _node_id(s, "id", "sources", i)
+        _require(node not in seen_ids, "duplicate node id", "sources", i, "id")
         seen_ids.add(node)
         sources.append(SourceNode(
             id=node,
-            V=_number(s, "V", path, positive=True),
-            L=_number(s, "L", path, positive=True),
-            C=_number(s, "C", path, positive=True),
-            k=_number(s, "k", path, positive=True),
+            V=_number(s, "V", "sources", i, positive=True),
+            L=_number(s, "L", "sources", i, positive=True),
+            C=_number(s, "C", "sources", i, positive=True),
+            k=_number(s, "k", "sources", i, positive=True),
         ))
 
     loads = []
     _require(isinstance(document["loads"], list) and len(document["loads"]) >= 1,
              "need at least one load", "loads")
     for i, l in enumerate(document["loads"]):
-        path = f"loads[{i}]"
-        _require(isinstance(l, dict), "expected an object", path)
-        node = _node_id(l, "id", path)
-        _require(node not in seen_ids, "duplicate node id", f"{path}.id")
+        _require(isinstance(l, dict), "expected an object", "loads", i)
+        node = _node_id(l, "id", "loads", i)
+        _require(node not in seen_ids, "duplicate node id", "loads", i, "id")
         seen_ids.add(node)
-        loads.append(LoadNode(id=node, P=_number(l, "P", path, nonnegative=True)))
+        loads.append(LoadNode(id=node, P=_number(l, "P", "loads", i, nonnegative=True)))
 
     lines = []
     seen_pairs = set()
     _require(isinstance(document["lines"], list), "expected a list", "lines")
     for i, e in enumerate(document["lines"]):
-        path = f"lines[{i}]"
-        _require(isinstance(e, dict), "expected an object", path)
+        _require(isinstance(e, dict), "expected an object", "lines", i)
         for end in ("a", "b"):
-            _require(_node_id(e, end, path) in seen_ids,
-                     "line endpoint is not a declared node", f"{path}.{end}")
-        _require(e["a"] != e["b"], "self loop not allowed", path)
+            _require(_node_id(e, end, "lines", i) in seen_ids,
+                     "line endpoint is not a declared node", "lines", i, end)
+        _require(e["a"] != e["b"], "self loop not allowed", "lines", i)
         pair = frozenset((e["a"], e["b"]))
-        _require(pair not in seen_pairs, "duplicate line between the same nodes", path)
+        _require(pair not in seen_pairs, "duplicate line between the same nodes", "lines", i)
         seen_pairs.add(pair)
-        lines.append(Line(a=e["a"], b=e["b"], r=_number(e, "r", path, positive=True)))
+        lines.append(Line(a=e["a"], b=e["b"], r=_number(e, "r", "lines", i, positive=True)))
 
     ctrl = document["control"]
     _require(isinstance(ctrl, dict), "expected an object", "control")

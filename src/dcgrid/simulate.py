@@ -71,7 +71,6 @@ _CSV_BLOCK = 1024              # trace rows formatted per write
 _CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
 _REFRESH_STEPS = 3             # chord steps to the floor that refresh J^-1 at the root
 _FLOW_FLOOR = 1e-14            # ||G||_2 / u_ref that ends the chord: the rounding floor
-_NEWTON_STEPS = 50             # cap of the Newton fallback behind the chord
 # classical RK4: (node, weight) of each stage; the weights sum to 6
 _RK4_STAGES = ((0.0, 1.0), (0.5, 2.0), (0.5, 2.0), (1.0, 1.0))
 
@@ -254,7 +253,7 @@ class _LoadFlow:
                     if step >= _REFRESH_STEPS:
                         self._refresh(self._eye - A / (u * u))
                     return u, True
-        u, J, ok = balance_newton(zeta, A, warm, self._u_ref, _NEWTON_STEPS)
+        u, J, ok = balance_newton(zeta, A, warm, self._u_ref)
         if ok:
             self._refresh(J)
         return u, ok

@@ -13,8 +13,8 @@ inductance X = b*K) is
 
 The Hurwitz verdict comes from the spectral abscissa of J2. A separate
 conservative certificate checks the two positive-definiteness conditions
-C + b*Y_eq > 0 and K^-1 + b*Y_eq > 0, and b_max gives the closed-form b0 below
-which both hold, a lower bound on the largest b they admit.
+C + b*Y_eq > 0 and K^-1 + b*Y_eq > 0, and the report's b0 is the closed-form
+damping below which both hold, a lower bound on the largest b they admit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._record import Record, to_json
+from ._record import Record
 from .errors import DomainError, NumericalError
 from .existence import PreparedGrid
 from .linalg import min_symmetric_eigenvalue
@@ -35,7 +35,6 @@ __all__ = [
     "effective_admittance",
     "jacobian",
     "sufficient_stability",
-    "b_max",
     "analyze_stability",
 ]
 
@@ -54,9 +53,6 @@ class StabilityReport(Record):
     b0: float                   # the certificate holds for b <= b0 (inf if lambda1 >= 0)
     b: float                    # damping coefficient the report was evaluated at
     verdict: str                # stable | unstable
-
-    def to_dict(self) -> dict:
-        return to_json(self)
 
 
 def cpl_linearize(u_star: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -101,7 +97,7 @@ def jacobian(Y_eq: np.ndarray, k: np.ndarray, C: np.ndarray, b: float) -> np.nda
     ])
 
 
-def _controller(C, k, b=1.0):
+def _controller(C, k, b):
     """C and k as arrays, once they and b are checked positive and finite."""
     C = np.asarray(C, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -125,21 +121,15 @@ def sufficient_stability(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray, b: floa
     return _posdef(np.diag(C) + b * Y_eq) and _posdef(np.diag(1.0 / k) + b * Y_eq)
 
 
-def b_max(Y_eq: np.ndarray, C: np.ndarray, k: np.ndarray) -> float:
+def _b0(Y_eq, lam1, C, k):
     """Damping coefficient b0 up to which the sufficient conditions hold.
 
-    b0 = min(-C_min/lambda1, -1/(lambda1*k_max)) when lambda1(Y_eq) < 0;
-    +inf when Y_eq is positive semidefinite (no CPL destabilization at any b).
-    Bounding C by C_min and K^-1 by 1/k_max makes b0 a lower bound on the
-    largest b the conditions admit, not that b itself: on the reference grid
-    they still hold at 1.05*b0.
+    b0 = min(-C_min/lambda1, -1/(lambda1*k_max)) when lambda1 = lambda1(Y_eq)
+    < 0; +inf when Y_eq is positive semidefinite (no CPL destabilization at
+    any b). Bounding C by C_min and K^-1 by 1/k_max makes b0 a lower bound on
+    the largest b the conditions admit, not that b itself: on the reference
+    grid they still hold at 1.05*b0.
     """
-    C, k = _controller(C, k)
-    return _b0(Y_eq, min_symmetric_eigenvalue(Y_eq), C, k)
-
-
-def _b0(Y_eq, lam1, C, k):
-    """`b_max` given lambda1(Y_eq), so a report needs one eigen-solve."""
     if lam1 >= -1e-12 * np.max(np.abs(Y_eq)):  # PSD up to roundoff
         return np.inf
     return float(min(-C.min() / lam1, -1.0 / (lam1 * k.max())))

@@ -10,7 +10,7 @@ import pytest
 
 from dcgrid import (analyze_stability, bracket, build_admittance, certify,
                     cpl_linearize, effective_admittance, jacobian,
-                    load_scenario, min_symmetric_eigenvalue, prepare,
+                    load_scenario, min_symmetric_eigenvalue, perron, prepare,
                     solve_load_voltages, sufficient_stability)
 from dcgrid.cli import main
 from dcgrid.existence import _F, _residual
@@ -43,10 +43,10 @@ def test_light_profile_equilibrium_and_bracket(table1_spec):
     assert np.max(np.abs(cert.u_load - U_STAR_LIGHT)) <= 0.05
     assert cert.residual <= 1e-8 * 89.64**2
     # the published floor is the bracket at the published (Nelder-Mead) weights
-    q, tau2 = optimize_weights(grid.A, grid.pair.eta)
+    q, tau2 = optimize_weights(grid.A, perron(np.linalg.inv(grid.Y1), grid.P).eta)
     assert cert.tau_optimized <= tau2
     published = bracket(q, 89.64, grid.A)
-    assert np.max(np.abs(published.low - BRACKET_LOW_LIGHT)) <= 0.2
+    assert np.max(np.abs(published - BRACKET_LOW_LIGHT)) <= 0.2
     # certify's own floor is a sub-solution below the equilibrium
     low = cert.bracket_low
     assert np.all(_F(89.64, grid.A, low) >= low)
@@ -207,8 +207,8 @@ def test_pairwise_values_decide_interval_overlap(corpus):
 def test_fixed_point_iterates_monotone_from_above(corpus):
     for case in corpus:
         u_ref = case.spec.control.u_ref
-        u = case.bracket.high.copy()
-        floor = case.bracket.low
+        u = u_ref * np.ones(case.spec.m)
+        floor = case.bracket
         slack = 1e-12 * u_ref
         for _ in range(200_000):
             nxt = _F(u_ref, case.A, u)
@@ -237,14 +237,12 @@ def test_effective_admittance_indefinite_at_equilibria(corpus):
 
 
 def test_certificate_implies_hurwitz_across_damping_scan(corpus):
-    from dcgrid import b_max
     for case in corpus:
         spec = case.spec
-        P = spec.p_vector()
         C = spec.c_diag()
         k = spec.k_diag()
-        Y_eq = effective_admittance(case.partition, cpl_linearize(case.u_load, P))
-        b0 = b_max(Y_eq, C, k)
+        report = analyze_stability(spec, case.u_load)
+        Y_eq, b0 = report.Y_eq, report.b0
         assert np.isfinite(b0)
         for b in np.concatenate((b0 * np.array([0.1, 0.5, 0.99, 1.5, 3.0]),
                                  [spec.control.b])):

@@ -8,7 +8,7 @@ on the balance in watts, is the reference it is checked against.
 import numpy as np
 import pytest
 
-from dcgrid import build_admittance, certify, solve_load_voltages
+from dcgrid import build_admittance, certify, linalg, solve_load_voltages
 from dcgrid.linalg import balance_newton
 from conftest import HEAVY, LIGHT, variant
 from oracles import solve_balance
@@ -17,9 +17,9 @@ G, V = 2.0, 100.0           # one load fed through one line of conductance G fro
 P_MAX = G * V * V / 4.0     # largest power the line can transfer
 
 
-def _one_line(p, u0=V, steps=50):
+def _one_line(p, u0=V):
     # zeta = V and A = p/G: u - V + (p/G)/u = 0
-    return balance_newton(np.array([V]), np.array([[p / G]]), np.array([u0]), V, steps)
+    return balance_newton(np.array([V]), np.array([[p / G]]), np.array([u0]), V)
 
 
 def _one_line_watts(p):
@@ -49,11 +49,13 @@ def test_one_line_above_max_power_does_not_converge(frac):
     assert not _one_line_watts(frac * P_MAX)[1]
 
 
-def test_iterate_checked_after_last_step():
+def test_iterate_checked_after_last_step(monkeypatch):
     root = 0.5 * (V + np.sqrt(V * V - 2.0 * P_MAX / G))
-    assert _one_line(0.5 * P_MAX, u0=root, steps=0)[2]
-    assert not _one_line(0.5 * P_MAX, u0=V, steps=0)[2]
-    assert _one_line(0.5 * P_MAX, u0=V, steps=8)[2]
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 0)
+    assert _one_line(0.5 * P_MAX, u0=root)[2]
+    assert not _one_line(0.5 * P_MAX, u0=V)[2]
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 8)
+    assert _one_line(0.5 * P_MAX, u0=V)[2]
 
 
 @pytest.mark.parametrize("u_ref,P", [(89.64, LIGHT), (135.51, HEAVY)])

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report mirroring, sweeps."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -266,6 +267,27 @@ def test_sweep_bisect_reads_certified_interval(monkeypatch, capsys):
     parts = dict(kv.split("=") for kv in lines[-2].split()[2:])
     rows = {r.split(",")[1]: r.split(",")[3] for r in lines[1:-2]}
     assert rows[parts["lo"]] == "False" and rows[parts["hi"]] == "True"
+
+
+def test_sweep_bisect_falls_back_to_max_without_a_root_at_hi(monkeypatch, capsys):
+    # should certify find no root at hi, just above tau2, --max takes its place
+    calls, original = [], cli.certify
+
+    def certify(grid):
+        calls.append(grid.spec.control.u_ref)
+        cert = original(grid)
+        if len(calls) == 4:  # --min, --max, lo, then hi
+            cert = dataclasses.replace(cert, verdict="undetermined", u_load=None,
+                                       residual=None, note="no root")
+        return cert
+
+    monkeypatch.setattr(cli, "certify", certify)
+    assert main(["sweep", str(TABLE1), "--param", "uref",
+                 "--min", "88", "--max", "91", "--bisect", "0.01"]) == 0
+    assert len(calls) == 4 and calls[2] < calls[3] < 91
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"# boundary lo={calls[2]:.10g} hi=91"
+    assert lines[-1] == "# certified interval is wider than the tolerance 0.01"
 
 
 def test_sweep_bisect_abscissa_at_the_fold(capsys):

@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dcgrid import (Bracket, DomainError, NumericalError, bracket, build_admittance,
-                    certify, fixed_point_solve,
-                    min_symmetric_eigenvalue, perron, prepare, reduce_network)
+from dcgrid import (DomainError, bracket, build_admittance, certify, cli,
+                    fixed_point_solve, linalg, perron, prepare, reduce_network)
 from dcgrid import existence
 from dcgrid.existence import _F, _residual, analytic_thresholds
-from conftest import HEAVY, LIGHT, variant
+from conftest import HEAVY, LIGHT, TABLE1, variant
 from oracles import (f_matrix, f_pair, g_exact, load_matrix, multistart_newton,
-                     optimize_weights, solve_balance)
+                     optimize_weights)
 
 # equilibrium and bracket floor for the reference grid, published to 2 decimals
 U_STAR_LIGHT = np.array([43.57, 43.49, 47.24, 56.59, 44.33, 52.05])
@@ -98,15 +97,15 @@ def test_analytic_thresholds_light(light):
 def test_bracket_feasible_at_reference_point(light):
     spec, reduced, A = light
     q, _ = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
-    brk = bracket(q, 89.64, A)
-    assert brk is not None
-    np.testing.assert_allclose(brk.high, 89.64)
-    assert np.max(np.abs(brk.low - BRACKET_LOW_LIGHT)) <= 0.2
-    # F maps the bracket into itself at both corners
-    for u in (brk.low, brk.high):
+    low = bracket(q, 89.64, A)
+    assert low is not None
+    assert np.max(np.abs(low - BRACKET_LOW_LIGHT)) <= 0.2
+    # F maps the bracket [low, zeta] into itself at both corners
+    zeta = np.full(6, 89.64)
+    for u in (low, zeta):
         img = 89.64 - A @ (1.0 / u)
-        assert np.all(img >= brk.low - 1e-7)
-        assert np.all(img <= brk.high + 1e-12)
+        assert np.all(img >= low - 1e-7)
+        assert np.all(img <= zeta + 1e-12)
     # certify's own floor, at q = 1/x, is a sub-solution below the equilibrium
     cert = certify(spec)
     low = cert.bracket_low
@@ -139,19 +138,19 @@ def test_bracket_none_on_negative_discriminant(light):
 def test_fixed_point_light_equilibrium(light):
     spec, reduced, A = light
     q, _ = optimize_weights(A, perron(np.linalg.inv(reduced.Y1), LIGHT).eta)
-    brk = bracket(q, 89.64, A)
-    u = fixed_point_solve(89.64, A, brk)
+    low = bracket(q, 89.64, A)
+    u = fixed_point_solve(89.64, A, low)
     assert np.max(np.abs(u - U_STAR_LIGHT)) <= 0.05
     assert np.max(np.abs(_residual(u, reduced.Y1, 89.64, LIGHT))) <= 1e-8 * 89.64**2
-    assert np.all(u >= brk.low)
-    assert np.all(u <= brk.high)
+    assert np.all(u >= low)
+    assert np.all(u <= 89.64)
 
 
 def test_equilibrium_meets_its_stop_exactly(table1_spec, monkeypatch):
     # the stop max|u + A(1/u) - u_ref| <= 1e-12 u_ref holds in exact
     # arithmetic at the float root, within 20 Newton steps, at the reference
     # point and just above the fold
-    monkeypatch.setattr(existence, "_EQ_STEPS", 20)
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 20)
     grid = prepare(table1_spec)
     for u_ref in (89.64, (1 + 1e-9) * grid.tau_dual):
         cert = certify(grid.with_uref(u_ref))
@@ -160,21 +159,52 @@ def test_equilibrium_meets_its_stop_exactly(table1_spec, monkeypatch):
         assert max(map(abs, G)) <= Fraction(1e-12) * Fraction(u_ref)
 
 
-def test_fixed_point_rejects_low_voltage_root(light):
-    # a bracket whose top sits just above the low-voltage root lets Newton
-    # reach that root inside the bracket; only the M-matrix check sees it
-    spec, reduced, A = light
-    Y1, u_ref = reduced.Y1, 89.64
-    low_root, ok = solve_balance(-u_ref * Y1.sum(axis=1), Y1, LIGHT,
-                                 0.4 * u_ref * np.ones(6), 1e-10 * u_ref**2)
-    assert ok
-    high_root = certify(spec).u_load
-    assert np.all(low_root < high_root - 1.0)
-    assert min_symmetric_eigenvalue(Y1 - np.diag(LIGHT / low_root**2)) < -0.01
-    assert min_symmetric_eigenvalue(Y1 - np.diag(LIGHT / high_root**2)) > 0.01
-    brk = Bracket(low=0.5 * low_root, high=low_root + 1e-4)
-    with pytest.raises(NumericalError, match="high-voltage check"):
-        fixed_point_solve(u_ref, A, brk)
+# each fault `fixed_point_solve` checks for, forced by wrapping the Newton it
+# runs: (newton, zeta, A, u, u_ref) -> what `existence.balance_newton` returns
+
+
+def _not_converged(newton, zeta, A, u, u_ref):
+    u, J, _ = newton(zeta, A, u, u_ref)
+    return u, J, False
+
+
+def _singular_jacobian(newton, zeta, A, u, u_ref):
+    u, J, ok = newton(zeta, A, u, u_ref)
+    return u, np.zeros_like(J), ok
+
+
+def _low_voltage_root(newton, zeta, A, u, u_ref):
+    # from 0.4 zeta Newton reaches the low-voltage root, below the floor
+    return newton(zeta, A, 0.4 * zeta, u_ref)
+
+
+def _low_voltage_jacobian(newton, zeta, A, u, u_ref):
+    # the high root with G' taken at the low-voltage root, where
+    # I - A diag(1/u^2) is not an M-matrix: only the last check sees it
+    u, _, ok = newton(zeta, A, u, u_ref)
+    _, J, ok_low = newton(zeta, A, 0.4 * zeta, u_ref)
+    return u, J, ok and ok_low
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_not_converged, "Newton on u = F(u) from zeta did not converge"),
+    (_singular_jacobian, "singular Jacobian in Newton on u = F(u)"),
+    (_low_voltage_root, "Newton root left the bracket"),
+    (_low_voltage_jacobian, "Newton root failed the high-voltage check "
+                            "(I - A diag(1/u^2) not an M-matrix)"),
+], ids=["not-converged", "singular", "left-bracket", "m-matrix"])
+def test_solver_diagnostics_leave_the_verdict_undetermined(table1_spec, monkeypatch,
+                                                           capsys, fault, message):
+    newton = existence.balance_newton
+    monkeypatch.setattr(existence, "balance_newton",
+                        lambda *args: fault(newton, *args))
+    cert = certify(table1_spec)
+    assert cert.verdict == "undetermined"
+    assert cert.u_load is None and cert.residual is None
+    assert cert.bracket_low is not None
+    assert cert.note == f"solver diagnostics: {message}"
+    assert cli.main(["analyze", str(TABLE1)]) == 2
+    assert f"note: solver diagnostics: {message}" in capsys.readouterr().out
 
 
 # oracles.multistart_newton searches for roots without any certificate, so

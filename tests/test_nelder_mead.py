@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import oracles
 from conftest import HEAVY, random_grid_document, variant
-from dcgrid import parse_network, prepare
+from dcgrid import parse_network, perron, prepare
 
 REL = 1e-9  # the certificate's relative gap, with rounding to spare
 
@@ -42,7 +42,7 @@ def test_grid_objective_matches_scipy(grids, name):
     q = grid.q_weights
     assert objective(np.log(q[:-1] / q[-1])) == pytest.approx(grid.tau_optimized**2,
                                                               rel=1e-12)
-    eta = grid.pair.eta
+    eta = perron(np.linalg.inv(grid.Y1), grid.P).eta
     seen = []
     for z0 in (np.zeros(eta.size - 1), np.log(eta[:-1] / eta[-1])):
         res = minimize(lambda z: seen.append(objective(z)) or seen[-1], z0,
@@ -55,7 +55,7 @@ def test_grid_objective_matches_scipy(grids, name):
 @pytest.mark.parametrize("name", ["light", "heavy", "m6", "m24", "m96"])
 def test_optimize_weights_matches_scipy_copy(grids, name):
     grid = grids[name]
-    q, tau2 = oracles.optimize_weights(grid.A, grid.pair.eta)
+    q, tau2 = oracles.optimize_weights(grid.A, perron(np.linalg.inv(grid.Y1), grid.P).eta)
     assert np.sqrt(oracles.f_matrix(grid.A, q).max()) == pytest.approx(tau2, rel=1e-12)
     assert tau2 >= grid.tau_dual * (1.0 - REL)
     assert grid.tau_optimized <= tau2 * (1.0 + REL)

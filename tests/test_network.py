@@ -1,11 +1,13 @@
 """Grid document parsing, validation diagnostics, and Laplacian assembly."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from dcgrid import SpecError, build_admittance, check_connected, load_network, parse_network
+from dcgrid import (Scenario, SpecError, build_admittance, check_connected, load_network,
+                    parse_network, prepare, simulate)
 from conftest import TABLE1
 
 
@@ -109,9 +111,24 @@ def test_disconnected_components_detected(table1_doc, table1_spec):
         parse_network(doc)
     assert "connected" in str(err.value)
     # check_connected itself, on a spec assembled without validation
-    import dataclasses
-    cut = dataclasses.replace(table1_spec, lines=table1_spec.lines[1:])
-    assert not check_connected(cut)
+    assert not check_connected(_cut(table1_spec))
+
+
+def _cut(spec):
+    """The spec without its first line: assembled without validation, disconnected."""
+    return dataclasses.replace(spec, lines=spec.lines[1:])
+
+
+@pytest.mark.parametrize("entry", [
+    build_admittance,
+    prepare,
+    lambda spec: simulate(Scenario(spec, horizon=1e-4, dt=1e-5)),
+], ids=["build_admittance", "prepare", "simulate"])
+def test_disconnected_spec_built_in_python_is_rejected(table1_spec, entry):
+    # build_admittance repeats the parser's connectivity check for such specs
+    with pytest.raises(SpecError, match="graph not connected") as err:
+        entry(_cut(table1_spec))
+    assert err.value.field == "lines"
 
 
 def test_admittance_is_a_laplacian(table1_partition):

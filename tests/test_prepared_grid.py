@@ -196,6 +196,6 @@ def test_near_degenerate_feeders_are_analyzed(tmp_path):
     cert = json.loads(out.read_text())["certificate"]
     assert cert["verdict"] == "certified-exists"
     grid = prepare(dcgrid.load_network(path))
-    eta = grid.pair.eta
-    assert np.all(eta > 0)
-    np.testing.assert_allclose(grid.A @ eta, grid.pair.chi * eta, atol=1e-10 * grid.pair.chi)
+    pair = dcgrid.perron(np.linalg.inv(grid.Y1), grid.P)
+    assert np.all(pair.eta > 0)
+    np.testing.assert_allclose(grid.A @ pair.eta, pair.chi * pair.eta, atol=1e-10 * pair.chi)

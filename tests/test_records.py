@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcgrid import (ExistenceCertificate, PreparedGrid, Thresholds, analyze_stability,
-                    bracket, certify, parse_scenario, perron, prepare, simulate)
+                    certify, parse_scenario, perron, prepare, simulate)
 from dcgrid.cli import main
 
 
@@ -26,10 +26,20 @@ def test_every_array_field_is_read_only(table1_doc, table1_spec):
     doc = json.loads(json.dumps(table1_doc))
     doc["scenario"] = {"horizon": 2e-4, "dt": 1e-4}
     trace = simulate(parse_scenario(doc))
-    for record in (grid, grid.partition, grid.pair, cert, report, trace,
-                   perron(np.linalg.inv(grid.Y1), grid.P),
-                   bracket(grid.q_weights, table1_spec.control.u_ref, grid.A)):
+    for record in (grid, grid.partition, cert, report, trace,
+                   perron(np.linalg.inv(grid.Y1), grid.P)):
         _assert_arrays_frozen(record)
+
+
+def test_every_record_converts_to_strict_json(table1_doc, table1_spec):
+    grid = prepare(table1_spec)
+    cert = certify(grid)
+    doc = json.loads(json.dumps(table1_doc))
+    doc["scenario"] = {"horizon": 2e-4, "dt": 1e-4}
+    for record in (grid, grid.partition, cert, analyze_stability(grid, cert.u_load),
+                   simulate(parse_scenario(doc)), perron(np.linalg.inv(grid.Y1), grid.P)):
+        json.dumps(record.to_dict(), allow_nan=False)
+    assert grid.to_dict()["spec"]["sources"][0]["id"] == "1"
 
 
 def test_certificate_shares_the_grid_thresholds(table1_spec):

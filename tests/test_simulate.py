@@ -321,8 +321,8 @@ def _newton_calls(monkeypatch):
     calls = []
     newton = _sim.balance_newton
 
-    def recorded(zeta, A, u0, u_ref, steps):
-        u, J, ok = newton(zeta, A, u0, u_ref, steps)
+    def recorded(zeta, A, u0, u_ref):
+        u, J, ok = newton(zeta, A, u0, u_ref)
         calls.append((u0, ok))
         return u, J, ok
 
@@ -413,7 +413,7 @@ def test_every_accepted_load_flow_passes_the_balance_check(grid, seed, spread, s
     zeta, A = flow._zeta_map @ u_S, flow._Y_inv * P
 
     def newton(start):
-        return balance_newton(zeta, A, start, u_ref, _sim._NEWTON_STEPS)
+        return balance_newton(zeta, A, start, u_ref)
 
     root, _, found = newton(u_ref * np.ones(m))
     centre = root if found else u_ref * rng.uniform(0.5, 1.0, m)

@@ -1,12 +1,13 @@
 """Linearization, effective admittance, Jacobian spectrum, damping bounds."""
 
+import dataclasses
 import importlib
 import json
 
 import numpy as np
 import pytest
 
-from dcgrid import (DomainError, analyze_stability, b_max, certify,
+from dcgrid import (DomainError, analyze_stability, certify,
                     cpl_linearize, effective_admittance, jacobian,
                     sufficient_stability)
 from conftest import HEAVY, LIGHT, multiset_distance, variant
@@ -60,11 +61,11 @@ def test_jacobian_block_structure(table1_partition, table1_spec, light_equilibri
         jacobian(Y_eq, k, C, 0.0)
 
 
-def test_sufficient_certificate_tracks_damping(table1_partition, table1_spec, light_equilibrium):
+def test_sufficient_certificate_tracks_damping(table1_spec, light_equilibrium):
     k = table1_spec.k_diag()
     C = table1_spec.c_diag()
-    Y_eq = effective_admittance(table1_partition, cpl_linearize(light_equilibrium, LIGHT))
-    b0 = b_max(Y_eq, C, k)
+    report = analyze_stability(table1_spec, light_equilibrium)
+    Y_eq, b0 = report.Y_eq, report.b0
     assert b0 == pytest.approx(2.15e-3, rel=0.05)
     assert sufficient_stability(Y_eq, C, k, 1e-3)
     # b0 comes from an eigenvalue lower bound, so everything below it passes;
@@ -82,9 +83,11 @@ def test_damping_bound_is_below_the_certificate_ceiling(table1_spec, u_ref, P):
     assert sufficient_stability(rep.Y_eq, spec.c_diag(), spec.k_diag(), 1.05 * rep.b0)
 
 
-def test_damping_bound_infinite_without_cpl(table1_partition, table1_spec):
-    Y_eq = effective_admittance(table1_partition, np.full(6, np.inf))
-    assert np.isinf(b_max(Y_eq, table1_spec.c_diag(), table1_spec.k_diag()))
+def test_damping_bound_infinite_without_cpl(table1_spec):
+    spec = variant(table1_spec, P=np.zeros(6))
+    report = analyze_stability(spec, np.full(6, spec.control.u_ref))
+    np.testing.assert_array_equal(report.r_load, np.inf)
+    assert np.isinf(report.b0)
 
 
 def test_sufficient_stability_rejects_nan_damping(table1_partition, table1_spec,
@@ -94,13 +97,14 @@ def test_sufficient_stability_rejects_nan_damping(table1_partition, table1_spec,
         sufficient_stability(Y_eq, table1_spec.c_diag(), table1_spec.k_diag(), float("nan"))
 
 
-def test_damping_bound_rejects_nan_capacitance(table1_partition, table1_spec,
-                                               light_equilibrium):
-    Y_eq = effective_admittance(table1_partition, cpl_linearize(light_equilibrium, LIGHT))
-    C = table1_spec.c_diag().copy()
-    C[2] = np.nan
+def test_damping_bound_rejects_nan_capacitance(table1_spec, light_equilibrium):
+    # a spec built in Python skips the parser's checks; the report still
+    # refuses a NaN capacitance instead of returning b0 = min(-NaN/lambda1, ...)
+    sources = list(table1_spec.sources)
+    sources[2] = dataclasses.replace(sources[2], C=np.nan)
+    spec = dataclasses.replace(table1_spec, sources=tuple(sources))
     with pytest.raises(DomainError):
-        b_max(Y_eq, C, table1_spec.k_diag())
+        analyze_stability(spec, light_equilibrium)
 
 
 def test_effective_admittance_rejects_nan_resistance(table1_partition, light_equilibrium):
@@ -154,7 +158,7 @@ def test_heavy_profile_stability(table1_spec):
 
 
 def test_one_eigen_solve_of_y_eq_per_report(monkeypatch, table1_spec, light_equilibrium):
-    # lambda1 and b0 share one eigvalsh of Y_eq; b0 is the value b_max gives
+    # lambda1 and b0 share one eigvalsh of Y_eq; b0 is the closed form at lambda1
     module = importlib.import_module("dcgrid.stability")
     solve = module.min_symmetric_eigenvalue
     seen = []
@@ -167,5 +171,7 @@ def test_one_eigen_solve_of_y_eq_per_report(monkeypatch, table1_spec, light_equi
     report = analyze_stability(table1_spec, light_equilibrium)
     assert sum(A is report.Y_eq for A in seen) == 1
     monkeypatch.undo()
-    assert report.b0 == b_max(report.Y_eq, table1_spec.c_diag(), table1_spec.k_diag())
-    assert report.lambda1 == solve(report.Y_eq)
+    lam1 = solve(report.Y_eq)
+    assert report.lambda1 == lam1 < 0
+    assert report.b0 == min(-table1_spec.c_diag().min() / lam1,
+                            -1.0 / (lam1 * table1_spec.k_diag().max()))

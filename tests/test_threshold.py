@@ -11,7 +11,7 @@ must reach the same bound.
 import numpy as np
 import pytest
 
-from dcgrid import certify, dual_ascent, parse_network, prepare
+from dcgrid import certify, dual_ascent, parse_network, perron, prepare
 from dcgrid import existence
 from conftest import HEAVY, random_grid_document, variant
 from oracles import f_matrix, multiplicative_ascent, threshold_bounds
@@ -38,7 +38,8 @@ def reference_grids(table1_spec):
 
 def perron_start(grid):
     """The left Perron vector P*eta summing to 1, where `prepare` starts the ascent."""
-    return grid.P * grid.pair.eta / np.dot(grid.P, grid.pair.eta)
+    eta = perron(np.linalg.inv(grid.Y1), grid.P).eta
+    return grid.P * eta / np.dot(grid.P, eta)
 
 
 def check_certificate(grid):

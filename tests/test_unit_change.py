@@ -6,8 +6,10 @@ Multiplying every line resistance and droop gain by c and every load power by
 every voltage by s and every power by s^2 scales A by s^2 and the
 equilibrium by s. The grids are 100 draws of
 `random_grid_document(default_rng(7), n_max=4, m_max=12)`. A scenario whose
-every r, k and L is also multiplied by c and every C divided by c keeps its
-load voltages, as the currents scale by 1/c. `soft_start_high_uref` is left
+every r and k is also multiplied by c and every C divided by c keeps its
+load voltages, as the currents scale by 1/c. Its L is multiplied by c too, as
+a change of the ohm would, but the averaged model does not read L, so that
+part of the rescale is not tested. `soft_start_high_uref` is left
 out: its undamped sources (k = 0) run with X = b * 1 ohm, a constant that
 carries the ohm.
 """

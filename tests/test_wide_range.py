@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcgrid import certify, cli, existence, load_network, prepare
+from dcgrid import certify, cli, linalg, load_network, prepare
 from oracles import f_pair_exact, g_exact
 from wide_range import DRAWS, documents, path, text
 
@@ -45,7 +45,7 @@ def test_certified_just_above_dual_bound(draw):
 def test_equilibrium_meets_its_stop_exactly(draw, monkeypatch):
     # within 20 Newton steps, max|u + A(1/u) - u_ref| <= 1e-12 u_ref in exact
     # arithmetic at the float root, next to the fold
-    monkeypatch.setattr(existence, "_EQ_STEPS", 20)
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 20)
     grid = prepare(load_network(path(draw)))
     u_ref = (1 + 1e-9) * grid.tau_dual
     cert = certify(grid.with_uref(u_ref))
