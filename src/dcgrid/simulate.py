@@ -22,15 +22,15 @@ of it, it falls back to `linalg.balance_newton`, the Newton behind
 `existence.fixed_point_solve` too, from the same warm start, which stops at
 max|G| <= 1e-12*u_ref. A scenario that schedules an activate-cpl event
 starts with the loads open (P = 0, A = 0) until the event fires; otherwise
-loads draw power from t = 0. A source with k_i = 0 runs undamped with
-X_i = b * 1 ohm: the droop term vanishes and only the virtual inductor
-remains.
+loads draw power from t = 0. A source that an event sets to k_i = 0 runs
+undamped with X_i = b * k_i from the grid document: the droop term vanishes
+and only the virtual inductor remains.
 
 Collapse is detected by the failure of that Newton fallback (the power
-balance lost its real root near the previous solution) or any load voltage
-at or below 1 V, and is reported at the last time every load was balanced
-above that floor: the start of the step whose stage or end-of-step flow
-failed, or the event time when re-pinning the loads after an event fails.
+balance lost its real root near the previous solution) and is reported at
+the last time every load was balanced: the start of the step whose stage or
+end-of-step flow failed, or the event time when re-pinning the loads after
+an event fails.
 
 Scenario files extend the grid document with::
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._record import Record
-from .errors import NumericalError, SpecError
+from .errors import DomainError, NumericalError, SpecError
 from .linalg import balance_newton
 from .network import (AdmittancePartition, NetworkSpec, _number, _number_problem,
                       _read_json, _require, build_admittance, parse_network)
@@ -66,7 +66,6 @@ __all__ = [
 
 _DEFAULT_DT = 1e-6
 _MAX_SAMPLES = 100_000
-_COLLAPSE_FLOOR = 1.0          # volts
 _CSV_BLOCK = 1024              # trace rows formatted per write
 _CHORD_STEPS = 4               # chord steps per load flow before Newton takes over
 _REFRESH_STEPS = 3             # chord steps to the floor that refresh J^-1 at the root
@@ -195,8 +194,8 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(_read_json(path))
 
 
-def _above(u, floor):
-    return all((u > floor).tolist())
+def _positive(u):
+    return all((u > 0.0).tolist())
 
 
 class _LoadFlow:
@@ -246,7 +245,7 @@ class _LoadFlow:
             for step in range(_CHORD_STEPS + 1):
                 if step:
                     u = u - J_inv.dot(G)
-                    if not _above(u, 0.0):
+                    if not _positive(u):
                         break
                 G = u + A.dot(1.0 / u) - zeta
                 if G.dot(G) <= self._floor_sq:
@@ -294,7 +293,9 @@ class _Phase:
 
     def __init__(self, spec: NetworkSpec, partition: AdmittancePartition, active: bool):
         self.P_set = spec.p_vector()
-        self.k = spec.k_diag()
+        self.k = self._k_doc = spec.k_diag()
+        if not np.all(np.isfinite(self.k) & (self.k > 0)):
+            raise DomainError("virtual resistances must be positive and finite")
         self.b = spec.control.b
         self.active = active
         self._u_ref = spec.control.u_ref
@@ -315,8 +316,9 @@ class _Phase:
     def _build(self):
         self.P = self.P_set if self.active else np.zeros_like(self.P_set)
         # X d(i_L)/dt = u_ref*1 - K i_L - u_S and C d(u_S)/dt = i_L - Y_SS u_S - Y_SL u_L
-        # (e carries u_ref/X as u_ref*(1/X), so that u_S = u_ref cancels exactly)
-        inv_X = 1.0 / np.where(self.k > 0, self.b * self.k, self.b)
+        # (e carries u_ref/X as u_ref*(1/X), so that u_S = u_ref cancels exactly);
+        # an undamped source (k = 0) keeps X = b*k of its grid document
+        inv_X = 1.0 / (self.b * np.where(self.k > 0, self.k, self._k_doc))
         C = self._C[:, None]
         self.M = np.block([[np.diag(-self.k * inv_X), np.diag(-inv_X)],
                            [np.diag(1.0 / self._C), -self._partition.Y_SS / C]])
@@ -411,9 +413,8 @@ def simulate(scenario: Scenario) -> SimulationTrace:
                 dx_sum = dx_sum + weight * dx
             x = x + (h / 6.0) * dx_sum
             u_next, ok = load_flow(x[n:], phase.P, warm)
-            if not ok or not _above(u_next, _COLLAPSE_FLOOR):
-                node = load_ids[int(np.argmin(u_next if ok else warm))]
-                return finish("collapsed", t, node)
+            if not ok:
+                return finish("collapsed", t, load_ids[int(np.argmin(warm))])
             t += h
             steps += 1
             u_L = u_next

@@ -162,6 +162,53 @@ def test_newton_starts_from_the_necessary_threshold(monkeypatch, reference_grids
         assert grid.tau_dual == grid.tau_necessary
 
 
+def _counted_solves(monkeypatch, fail=False):
+    """Count the bordered Newton solves of `dual_ascent`; with `fail`, each raises."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(K, rhs):
+        calls.append(K.shape)
+        if fail:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(K, rhs)
+
+    monkeypatch.setattr(existence.np.linalg, "solve", counted)
+    return calls
+
+
+def test_singular_bordered_system_returns_the_start_pair(monkeypatch, reference_grids):
+    grid = reference_grids[0]
+    psi = perron_start(grid)
+    calls = _counted_solves(monkeypatch, fail=True)
+    w, x, tau_dual = dual_ascent(grid.A, psi)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(w, psi)
+    assert tau_dual == grid.tau_necessary
+    assert tau_dual == pytest.approx(89.27691179, abs=1e-8)
+    lower, upper = threshold_bounds(grid.A, w, x)
+    assert lower == tau_dual
+    assert upper == pytest.approx(92.24095514, abs=1e-8)
+
+
+def test_line_search_gives_up_at_rounding(monkeypatch, reference_grids):
+    # with no gap small enough to end the ascent, it stops where no halving
+    # shrinks the gap, before the step cap
+    grid = reference_grids[0]
+    psi = perron_start(grid)
+    calls = _counted_solves(monkeypatch)
+    dual_ascent(grid.A, psi)
+    normal = len(calls)
+    calls.clear()
+    monkeypatch.setattr(existence, "_ASCENT_GAP", -1.0)
+    w, x, tau_dual = dual_ascent(grid.A, psi)
+    assert normal < len(calls) < existence._ASCENT_CAP
+    assert tau_dual == pytest.approx(grid.tau_dual, rel=1e-12)
+    lower, upper = threshold_bounds(grid.A, w, x)
+    assert lower == tau_dual
+    assert upper - lower <= 1e-10 * lower
+
+
 def test_certified_interval_ends_have_definite_verdicts(corpus, large_grids):
     # the two points `sweep --bisect` evaluates: no root just below the dual
     # bound, a root just above tau2, and they stay apart in the CSV's %.10g
